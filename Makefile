@@ -1,11 +1,12 @@
 # Developer entry points. `make ci` is the gate every change must pass;
-# it is what .github/workflows/ci.yml runs.
+# .github/workflows/ci.yml runs the same targets in the same order, one
+# workflow step each.
 
 CARGO ?= cargo
 
-.PHONY: ci fmt lint lint-invariants sanitize-smoke build test bench bench-smoke bench-bless prof-report report quick-report scenario-smoke shard-smoke clos-smoke perf-gate serve serve-smoke
+.PHONY: ci fmt lint lint-invariants sanitize-smoke build test bench bench-smoke bench-bless prof-report report quick-report determinism-smoke scenario-smoke perf-gate serve serve-smoke
 
-ci: fmt lint lint-invariants build test shard-smoke clos-smoke perf-gate
+ci: fmt lint lint-invariants build test determinism-smoke prof-report perf-gate scenario-smoke serve-smoke sanitize-smoke
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -14,8 +15,8 @@ lint:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 # Workspace invariant linter (rperf-lint, DESIGN.md §5): token rules
-# D1-D10 plus the interprocedural rules I1-I4 over the workspace call
-# graph, configured by the checked-in lint.toml. --ci additionally
+# D1-D4 and D6-D9 plus the interprocedural rules I1, I2 and I4 over the
+# workspace call graph, configured by the checked-in lint.toml. --ci additionally
 # writes LINT_report.json (machine-readable diagnostics) for the CI
 # artifact next to BENCH_report.json.
 lint-invariants:
@@ -69,12 +70,18 @@ bench-bless:
 # are redirected to /tmp — the profiled run's wall times are perturbed
 # by the counters and must never feed the committed report or the gate —
 # and only the BENCH_prof.json sidecar is copied back for the CI
-# artifact upload. Runs sharded (--shards 2) so the sidecar's per-shard
-# rows (events, barrier-wait nanos, mailbox traffic) are populated and
-# attribute where sharded runs lose time.
+# artifact upload.
 prof-report:
-	$(CARGO) run --release -p rperf-bench --features sim-prof --bin report -- --quick --jobs 1 --shards 2 --prof --out /tmp/rperf_prof_experiments.md
+	$(CARGO) run --release -p rperf-bench --features sim-prof --bin report -- --quick --jobs 1 --prof --out /tmp/rperf_prof_experiments.md
 	cp /tmp/BENCH_prof.json BENCH_prof.json
+
+# Determinism smoke: the reduced report at --jobs 1 and --jobs 4 must
+# produce byte-identical EXPERIMENTS.md text (sweep parallelism is an
+# execution strategy, never part of the result).
+determinism-smoke:
+	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 1 --out /tmp/serial.md
+	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 4 --out /tmp/parallel.md
+	diff /tmp/serial.md /tmp/parallel.md
 
 # Perf-regression gate: rerun the reduced report single-job and fail if
 # any figure (or the aggregate) falls more than 10% below the committed
@@ -87,45 +94,35 @@ prof-report:
 perf-gate:
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 1 --gate 10
 
-# CI smoke: run the beyond-paper example scenarios end-to-end from their
-# spec files and check the emitted JSON parses, then assert the typed
-# exit codes: missing file -> 3 (I/O), syntax error -> 2 (spec parse)
-# with a line-numbered diagnostic on stderr.
+# CI smoke for scenario spec files (DESIGN.md §4.1, §4.2):
+#  1. every committed example scenario runs end-to-end from its spec
+#     file alone and emits valid JSON;
+#  2. `--dump-routes` prints byte-identical per-switch tables on
+#     repeated invocations for both fat-tree examples — routing is
+#     planned deterministically, never discovered at run time;
+#  3. typed exit codes: missing file -> 3 (I/O); an unknown header key
+#     -> 2 (spec parse) with a line-numbered diagnostic on stderr, also
+#     for the retired `shards` key; the retired `--shards` flag -> 1
+#     (usage).
+SCENARIOS = chain_gaming incast_8 fanout_30 fattree_incast fattree_victim
+CLI = $(CARGO) run --release -q -p rperf-cli --
 scenario-smoke:
-	$(CARGO) run --release -p rperf-cli -- scenario examples/scenarios/chain_gaming.scn --json | python3 -m json.tool > /dev/null
-	$(CARGO) run --release -p rperf-cli -- scenario examples/scenarios/incast_8.scn --json | python3 -m json.tool > /dev/null
-	$(CARGO) run --release -q -p rperf-cli -- scenario /nonexistent/missing.scn 2>/dev/null; test $$? -eq 3
+	for s in $(SCENARIOS); do \
+		$(CLI) scenario examples/scenarios/$$s.scn --json | python3 -m json.tool > /dev/null || exit 1; \
+	done
+	for s in fattree_incast fattree_victim; do \
+		$(CLI) scenario examples/scenarios/$$s.scn --dump-routes > /tmp/rperf_$${s}_routes_a.txt && \
+		$(CLI) scenario examples/scenarios/$$s.scn --dump-routes > /tmp/rperf_$${s}_routes_b.txt && \
+		cmp /tmp/rperf_$${s}_routes_a.txt /tmp/rperf_$${s}_routes_b.txt || exit 1; \
+	done
+	$(CLI) scenario /nonexistent/missing.scn 2>/dev/null; test $$? -eq 3
 	printf 'name = "x"\nbogus_key = 1\n' > /tmp/rperf_smoke_bad.scn
-	$(CARGO) run --release -q -p rperf-cli -- scenario /tmp/rperf_smoke_bad.scn 2>/tmp/rperf_smoke_bad.err; test $$? -eq 2
+	$(CLI) scenario /tmp/rperf_smoke_bad.scn 2>/tmp/rperf_smoke_bad.err; test $$? -eq 2
 	grep -q 'line 2' /tmp/rperf_smoke_bad.err
-
-# Sharded-execution smoke, three gates:
-#  1. the golden-figure differential suite (every paper figure at
-#     --shards 2 and 4, byte-compared against the shards=1 goldens) —
-#     release profile because the sparse sweeps pay barrier costs per
-#     nanosecond window (the tests are #[ignore]d in the dev suite);
-#  2. the large fanout_30 scenario plus both example scenarios must be
-#     byte-identical between --shards 1 and --shards 4;
-#  3. on hosts with >= 4 CPUs the sharded fanout_30 run must beat the
-#     sequential one by SHARD_SMOKE_MIN_SPEEDUP x wall-clock (skipped on
-#     smaller hosts, where conservative window barriers can only add
-#     overhead). See scripts/shard_smoke.sh.
-SHARD_SMOKE_MIN_SPEEDUP ?= 2.0
-shard-smoke:
-	$(CARGO) test -q --release -p rperf-bench --test shard_differential -- --include-ignored
-	SHARD_SMOKE_MIN_SPEEDUP=$(SHARD_SMOKE_MIN_SPEEDUP) bash scripts/shard_smoke.sh
-
-# Fat-tree/Clos smoke, three gates (scripts/clos_smoke.sh):
-#  1. both committed fat-tree example scenarios run end-to-end from
-#     their spec files alone and `--dump-routes` prints byte-identical
-#     per-switch tables on repeated invocations;
-#  2. a generated 128-host k=8 leaf-spine incast is byte-identical
-#     between --shards 1 and --shards 4;
-#  3. on hosts with >= 4 CPUs the sharded k=8 run must beat the
-#     sequential one by CLOS_SMOKE_MIN_SPEEDUP x wall-clock.
-CLOS_SMOKE_MIN_SPEEDUP ?= 1.5
-clos-smoke:
-	CLOS_SMOKE_MIN_SPEEDUP=$(CLOS_SMOKE_MIN_SPEEDUP) bash scripts/clos_smoke.sh
+	printf 'shards = 2\n[topology]\nkind = "direct_pair"\n' > /tmp/rperf_smoke_retired.scn
+	$(CLI) scenario /tmp/rperf_smoke_retired.scn 2>/tmp/rperf_smoke_retired.err; test $$? -eq 2
+	grep -q 'line 1: `shards` is not a valid key' /tmp/rperf_smoke_retired.err
+	$(CLI) scenario examples/scenarios/incast_8.scn --shards 2 >/dev/null 2>&1; test $$? -eq 1
 
 # Runs the scenario service in the foreground on the default port
 # (stop it with `rperf-cli serve-stats --shutdown`).

@@ -9,7 +9,7 @@
 //! scenario files — goes through this function, so there is exactly one
 //! place that turns a traffic matrix into applications.
 
-use rperf_fabric::{FabricBuilder, ShardedSim, Sim};
+use rperf_fabric::{FabricBuilder, Sim};
 use rperf_model::ClusterConfig;
 use rperf_sim::{RunOutcome, SimDuration, SimTime};
 use rperf_stats::{json, LatencySummary};
@@ -234,62 +234,8 @@ fn build_app(spec: &ScenarioSpec, r: &RoleSpec, seed: u64) -> Box<dyn rperf_fabr
     }
 }
 
-/// The execution engine behind one scenario run: the sequential
-/// single-queue engine at `shards = 1`, the conservative-lookahead
-/// sharded engine ([`ShardedSim`], DESIGN.md §3) otherwise. The two
-/// produce identical results by construction — the differential suite
-/// in `tests/sharded_differential.rs` holds them to byte-identity on
-/// every golden figure — so the choice is purely a wall-clock knob.
-enum Engine {
-    Seq(Box<Sim>),
-    Sharded(ShardedSim),
-}
-
-impl Engine {
-    fn add_app(&mut self, node: usize, app: Box<dyn rperf_fabric::App>) {
-        match self {
-            Engine::Seq(sim) => sim.add_app(node, app),
-            Engine::Sharded(sim) => sim.add_app(node, app),
-        }
-    }
-
-    fn start(&mut self) {
-        match self {
-            Engine::Seq(sim) => sim.start(),
-            Engine::Sharded(sim) => sim.start(),
-        }
-    }
-
-    fn run_until_budgeted(
-        &mut self,
-        t: SimTime,
-        max_events: u64,
-        check_every: u64,
-        cancelled: &mut dyn FnMut() -> bool,
-    ) -> RunOutcome {
-        match self {
-            Engine::Seq(sim) => sim.run_until_budgeted(t, max_events, check_every, cancelled),
-            Engine::Sharded(sim) => sim.run_until_budgeted(t, max_events, check_every, cancelled),
-        }
-    }
-
-    fn events_processed(&self) -> u64 {
-        match self {
-            Engine::Seq(sim) => sim.events_processed(),
-            Engine::Sharded(sim) => sim.events_processed(),
-        }
-    }
-
-    fn app_as<T: rperf_fabric::App + 'static>(&self, node: usize) -> &T {
-        match self {
-            Engine::Seq(sim) => sim.app_as(node),
-            Engine::Sharded(sim) => sim.app_as(node),
-        }
-    }
-}
-
 /// Reads the report of one role back out of the finished simulation.
-fn collect(sim: &Engine, r: &RoleSpec, end: SimTime) -> RoleReport {
+fn collect(sim: &Sim, r: &RoleSpec, end: SimTime) -> RoleReport {
     match &r.role {
         Role::RPerf { .. } => RoleReport::RPerf(sim.app_as::<RPerf>(r.node).report()),
         Role::Lsg { .. } => RoleReport::Latency(LatencySummary::from_histogram(
@@ -472,11 +418,7 @@ pub fn execute_budgeted_with_config(
         }
     }
     let fabric = builder.build(&spec.topology);
-    let mut sim = if spec.shards > 1 {
-        Engine::Sharded(ShardedSim::new(fabric, spec.shards))
-    } else {
-        Engine::Seq(Box::new(Sim::new(fabric)))
-    };
+    let mut sim = Sim::new(fabric);
     for r in &spec.roles {
         sim.add_app(r.node, build_app(spec, r, seed));
     }
@@ -517,9 +459,9 @@ pub fn execute_budgeted_with_config(
 /// Builds the same fabric [`execute`] would (profile, policy and QoS
 /// applied) but attaches no applications and runs nothing, so a spec
 /// needs only a topology: roles are irrelevant to routing and are not
-/// validated here. The output is stable across runs, `--jobs` and
-/// `--shards` — routing is computed by the deterministic subnet planner,
-/// never discovered at run time.
+/// validated here. The output is stable across runs and `--jobs` —
+/// routing is computed by the deterministic subnet planner, never
+/// discovered at run time.
 pub fn dump_routes(spec: &ScenarioSpec, seed: u64) -> String {
     let mut cfg = spec.profile.cluster_config().with_policy(spec.policy);
     if spec.qos != QosMode::SharedSl {

@@ -229,13 +229,10 @@ pub struct ScenarioSpec {
     pub topology: Topology,
     /// The traffic matrix.
     pub roles: Vec<RoleSpec>,
-    /// Worker domains for sharded execution (1 = the sequential engine).
-    ///
-    /// Results are identical for every value — sharding is a wall-clock
-    /// optimization, not a model change (see DESIGN.md §3) — so this knob
-    /// does not participate in scenario identity: [`ScenarioSpec::to_text`]
-    /// omits it at the default and cache keys built from the canonical
-    /// text stay stable across shard counts.
+    /// Always 1. The simulator has one sequential engine; nothing parses,
+    /// sets or prints this field. It is kept only because the benchmark
+    /// harness under `perfbench/` still reads it, and
+    /// [`ScenarioSpec::validate`] rejects any other value.
     pub shards: usize,
 }
 
@@ -293,12 +290,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the worker-domain count for sharded execution (builder style).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Checks the spec is executable: at least one role, every node and
     /// every target/peer inside the topology, no node claimed twice, and
     /// no self-targeting flow.
@@ -314,21 +305,8 @@ impl ScenarioSpec {
         if self.duration == SimDuration::ZERO {
             return Err("the measurement window must be non-zero".into());
         }
-        if self.shards == 0 || self.shards > 64 {
-            return Err(format!("shards must be in 1..=64, got {}", self.shards));
-        }
-        // Every worker domain needs at least one device, or
-        // `partition_devices` would produce empty shards at run time.
-        let devices = hosts + self.topology.switches();
-        if self.shards > devices {
-            return Err(format!(
-                "shards = {} exceeds the {} devices in the topology \
-                 ({} hosts + {} switches)",
-                self.shards,
-                devices,
-                hosts,
-                self.topology.switches()
-            ));
+        if self.shards != 1 {
+            return Err(format!("shards must be 1, got {}", self.shards));
         }
         if let Topology::FatTree(ft) = &self.topology {
             ft.validate()?;
@@ -727,7 +705,6 @@ impl ScenarioSpec {
                 "duration_ps",
                 "duration_us",
                 "duration_ms",
-                "shards",
             ],
         )?;
 
@@ -768,44 +745,24 @@ impl ScenarioSpec {
         };
         let warmup = duration_from(&top, "warmup", SimDuration::from_us(200))?;
         let duration = duration_from(&top, "duration", SimDuration::from_ms(5))?;
-        let (shards_line, shards) = match top.get("shards") {
-            None => (0, 1),
-            Some((line, v)) => (line, expect_int(line, "shards", v)? as usize),
-        };
 
         let Some(topology) = topology else {
             return err(text.lines().count().max(1), "missing [topology] section");
         };
         let topology = parse_topology(&topology)?;
-        // Reject over-sharding at the `shards =` line rather than letting
-        // `partition_devices` produce empty worker domains at run time.
-        let devices = topology.hosts() + topology.switches();
-        if shards > devices {
-            return err(
-                shards_line,
-                format!(
-                    "shards = {shards} exceeds the {devices} devices in the topology \
-                     ({} hosts + {} switches)",
-                    topology.hosts(),
-                    topology.switches()
-                ),
-            );
-        }
         let roles = roles
             .iter()
             .map(parse_role)
             .collect::<Result<Vec<_>, _>>()?;
 
         Ok(ScenarioSpec {
-            name,
             profile,
             policy,
             qos,
             warmup,
             duration,
-            topology,
             roles,
-            shards,
+            ..ScenarioSpec::new(name, topology)
         })
     }
 
@@ -839,12 +796,6 @@ impl ScenarioSpec {
         let _ = writeln!(out, "qos = \"{qos}\"");
         let _ = writeln!(out, "warmup_ps = {}", self.warmup.as_ps());
         let _ = writeln!(out, "duration_ps = {}", self.duration.as_ps());
-        // Emitted only away from the default: sharding never changes
-        // results, so the canonical text (and every cache key derived
-        // from it) is shard-agnostic unless a spec opts in explicitly.
-        if self.shards != 1 {
-            let _ = writeln!(out, "shards = {}", self.shards);
-        }
 
         let _ = writeln!(out, "\n[topology]");
         match &self.topology {
@@ -1013,40 +964,6 @@ kind = "sink"
     }
 
     #[test]
-    fn shards_knob_parses_validates_and_roundtrips() {
-        let spec = ScenarioSpec::parse(GAMING).unwrap();
-        assert_eq!(spec.shards, 1, "shards defaults to the sequential engine");
-        assert!(
-            !spec.to_text().contains("shards"),
-            "the default must stay out of the canonical text (cache keys)"
-        );
-
-        let sharded = spec.clone().with_shards(4);
-        let text = sharded.to_text();
-        assert!(text.contains("shards = 4"), "{text}");
-        let back = ScenarioSpec::parse(&text).unwrap();
-        assert_eq!(back, sharded, "non-default shards must round-trip");
-        back.validate().unwrap();
-
-        assert!(
-            spec.clone()
-                .with_shards(0)
-                .validate()
-                .unwrap_err()
-                .contains("shards"),
-            "shards = 0 must be rejected"
-        );
-        assert!(
-            spec.clone()
-                .with_shards(65)
-                .validate()
-                .unwrap_err()
-                .contains("shards"),
-            "shards > 64 must be rejected"
-        );
-    }
-
-    #[test]
     fn fattree_topology_parses_defaults_and_roundtrips() {
         let spec = ScenarioSpec::parse(
             "name = \"clos\"\n[topology]\nkind = \"fattree\"\nk = 4\n\n\
@@ -1088,29 +1005,6 @@ kind = "sink"
 
         let e = ScenarioSpec::parse("[topology]\nkind = \"fattree\"").unwrap_err();
         assert!(e.msg.contains('k'), "missing k is reported: {e}");
-    }
-
-    #[test]
-    fn over_sharded_specs_are_rejected_with_line_numbers() {
-        // direct_pair has 2 devices; shards = 3 cannot be satisfied.
-        let e = ScenarioSpec::parse("shards = 3\n[topology]\nkind = \"direct_pair\"").unwrap_err();
-        assert_eq!(e.line, 1, "{e}");
-        assert!(e.msg.contains("2 devices"), "{e}");
-
-        // The programmatic path (CLI --shards override) is caught by
-        // validate() instead.
-        let spec = ScenarioSpec::new("t", Topology::DirectPair)
-            .with_role(0, Role::Sink)
-            .with_shards(3);
-        let msg = spec.validate().unwrap_err();
-        assert!(msg.contains("2 devices"), "{msg}");
-
-        // At the boundary it is fine: 2 hosts + 0 switches = 2 devices.
-        ScenarioSpec::new("t", Topology::DirectPair)
-            .with_role(0, Role::Sink)
-            .with_shards(2)
-            .validate()
-            .unwrap();
     }
 
     #[test]

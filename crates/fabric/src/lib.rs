@@ -31,12 +31,10 @@
 
 #[cfg(feature = "sim-prof")]
 pub mod prof;
-mod shard;
 mod topology;
 mod trace;
 mod world;
 
-pub use shard::{partition_devices, ShardExecStats, ShardedSim};
 pub use topology::{Endpoint, Fabric, FabricBuilder, Topology};
 pub use trace::{TraceEvent, TraceRecord, Tracer};
 pub use world::{

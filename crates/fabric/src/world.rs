@@ -91,11 +91,7 @@ pub enum FabricEvent {
 
 /// The application interface: measurement tools and traffic generators
 /// implement this and are attached to nodes with [`Sim::add_app`].
-///
-/// Apps are `Send` so a sharded run ([`crate::ShardedSim`]) can move each
-/// node's app to the worker thread that owns its shard; apps hold only
-/// their own measurement state, so this costs implementations nothing.
-pub trait App: Send {
+pub trait App {
     /// Called once when the simulation starts.
     fn start(&mut self, ctx: &mut Ctx<'_>);
 
@@ -109,26 +105,15 @@ pub trait App: Send {
     fn as_any(&self) -> &dyn Any;
 }
 
-/// The engine behind a [`Ctx`]: the sequential engine hands apps the
-/// whole fabric; the sharded engine hands them only their shard's slice
-/// (see [`crate::shard`]). Apps cannot observe the difference — the
-/// `Ctx` surface is identical and, by construction, so are the results.
-enum CtxBackend<'a> {
-    Full {
-        fabric: &'a mut Fabric,
-        q: &'a mut EventQueue<FabricEvent>,
-        /// Scratch buffer for device actions, reused across posts so the
-        /// verbs hot path performs no per-call allocation.
-        out: &'a mut Vec<RnicAction>,
-    },
-    Shard(crate::shard::ShardEnv<'a>),
-}
-
 /// The app's window into the fabric.
 pub struct Ctx<'a> {
     now: SimTime,
     node: usize,
-    backend: CtxBackend<'a>,
+    fabric: &'a mut Fabric,
+    q: &'a mut EventQueue<FabricEvent>,
+    /// Scratch buffer for device actions, reused across posts so the
+    /// verbs hot path performs no per-call allocation.
+    out: &'a mut Vec<RnicAction>,
 }
 
 impl std::fmt::Debug for Ctx<'_> {
@@ -141,15 +126,6 @@ impl std::fmt::Debug for Ctx<'_> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Wraps the sharded backend (constructed by `Domain::with_app`).
-    pub(crate) fn sharded(now: SimTime, node: usize, env: crate::shard::ShardEnv<'a>) -> Self {
-        Ctx {
-            now,
-            node,
-            backend: CtxBackend::Shard(env),
-        }
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -162,26 +138,17 @@ impl<'a> Ctx<'a> {
 
     /// The LID of any node.
     pub fn lid_of(&self, node: usize) -> Lid {
-        match &self.backend {
-            CtxBackend::Full { fabric, .. } => fabric.lid_of(node),
-            CtxBackend::Shard(env) => env.lid_of(node),
-        }
+        self.fabric.lid_of(node)
     }
 
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
-        match &self.backend {
-            CtxBackend::Full { fabric, .. } => fabric.config(),
-            CtxBackend::Shard(env) => env.config(),
-        }
+        self.fabric.config()
     }
 
     /// This host's TSC clock.
     pub fn clock(&self) -> &TscClock {
-        match &self.backend {
-            CtxBackend::Full { fabric, .. } => fabric.clock(self.node),
-            CtxBackend::Shard(env) => env.clock(),
-        }
+        self.fabric.clock(self.node)
     }
 
     /// Reads this host's TSC at the current instant.
@@ -191,10 +158,7 @@ impl<'a> Ctx<'a> {
 
     /// Creates a queue pair on this node's RNIC.
     pub fn create_qp(&mut self, transport: Transport) -> QpNum {
-        match &mut self.backend {
-            CtxBackend::Full { fabric, .. } => fabric.rnic_mut(self.node).create_qp(transport),
-            CtxBackend::Shard(env) => env.create_qp(transport),
-        }
+        self.fabric.rnic_mut(self.node).create_qp(transport)
     }
 
     /// Posts a send work request on this node's RNIC.
@@ -203,15 +167,10 @@ impl<'a> Ctx<'a> {
     ///
     /// Propagates verbs validation errors.
     pub fn post_send(&mut self, qp: QpNum, wr: SendWr) -> Result<(), VerbsError> {
-        match &mut self.backend {
-            CtxBackend::Full { fabric, q, out } => {
-                let fabric = &mut **fabric;
-                fabric.rnics[self.node].post_send(self.now, qp, wr, &mut fabric.slab, out)?;
-                apply_rnic_actions(fabric, q, self.node, self.now, out);
-                Ok(())
-            }
-            CtxBackend::Shard(env) => env.post_send(self.node, self.now, qp, wr),
-        }
+        let fabric = &mut *self.fabric;
+        fabric.rnics[self.node].post_send(self.now, qp, wr, &mut fabric.slab, self.out)?;
+        apply_rnic_actions(fabric, self.q, self.node, self.now, self.out);
+        Ok(())
     }
 
     /// Posts a batch of send work requests with one doorbell.
@@ -220,43 +179,26 @@ impl<'a> Ctx<'a> {
     ///
     /// If any work request fails validation, nothing is enqueued.
     pub fn post_send_batch(&mut self, qp: QpNum, wrs: Vec<SendWr>) -> Result<(), VerbsError> {
-        match &mut self.backend {
-            CtxBackend::Full { fabric, q, out } => {
-                let fabric = &mut **fabric;
-                fabric.rnics[self.node].post_send_batch(
-                    self.now,
-                    qp,
-                    wrs,
-                    &mut fabric.slab,
-                    out,
-                )?;
-                apply_rnic_actions(fabric, q, self.node, self.now, out);
-                Ok(())
-            }
-            CtxBackend::Shard(env) => env.post_send_batch(self.node, self.now, qp, wrs),
-        }
+        let fabric = &mut *self.fabric;
+        fabric.rnics[self.node].post_send_batch(self.now, qp, wrs, &mut fabric.slab, self.out)?;
+        apply_rnic_actions(fabric, self.q, self.node, self.now, self.out);
+        Ok(())
     }
 
     /// Pre-posts a receive buffer.
     pub fn post_recv(&mut self, qp: QpNum, wr: RecvWr) {
-        match &mut self.backend {
-            CtxBackend::Full { fabric, .. } => fabric.rnic_mut(self.node).post_recv(qp, wr),
-            CtxBackend::Shard(env) => env.post_recv(qp, wr),
-        }
+        self.fabric.rnic_mut(self.node).post_recv(qp, wr);
     }
 
     /// Schedules an [`App::on_timer`] callback `delay` from now.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        match &mut self.backend {
-            CtxBackend::Full { q, .. } => q.schedule(
-                self.now + delay,
-                FabricEvent::AppTimer {
-                    node: self.node as u32,
-                    token,
-                },
-            ),
-            CtxBackend::Shard(env) => env.set_timer(self.node, self.now, delay, token),
-        }
+        self.q.schedule(
+            self.now + delay,
+            FabricEvent::AppTimer {
+                node: self.node as u32,
+                token,
+            },
+        );
     }
 }
 
@@ -577,11 +519,9 @@ impl WorldState {
             let mut ctx = Ctx {
                 now,
                 node,
-                backend: CtxBackend::Full {
-                    fabric: &mut self.fabric,
-                    q,
-                    out: &mut self.rnic_out,
-                },
+                fabric: &mut self.fabric,
+                q,
+                out: &mut self.rnic_out,
             };
             f(app.as_mut(), &mut ctx);
         }
@@ -650,17 +590,6 @@ pub fn slab_high_water_total() -> u64 {
 /// the device models).
 pub fn packets_leaked_total() -> u64 {
     PACKETS_LEAKED.load(Ordering::Relaxed)
-}
-
-/// Adds to the process-wide event counter (the sharded engine's
-/// counterpart of the `fetch_add` in [`Sim::run_until`]).
-pub(crate) fn note_events(n: u64) {
-    EVENTS_PROCESSED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Raises the process-wide slab high-water mark.
-pub(crate) fn note_slab_high_water(n: u64) {
-    SLAB_HIGH_WATER.fetch_max(n, Ordering::Relaxed);
 }
 
 impl Sim {

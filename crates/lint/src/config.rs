@@ -7,19 +7,19 @@
 //!
 //! ```text
 //! [[rule]]
-//! id = "D5"
+//! id = "D2"
 //! crates = ["sim", "switch"]
 //! # optional: files = ["event.rs"]     (restrict to path suffixes)
 //! # optional: hint = "override the built-in fix hint"
 //!
 //! [[allow]]
-//! rule = "D5"
-//! path = "crates/switch/src/device.rs"
-//! contains = "no route for"            # optional: substring of the line
+//! rule = "D2"
+//! path = "crates/fabric/src/world.rs"
+//! contains = "prof_start"            # optional: substring of the line
 //! justification = "mandatory free text explaining why this is sound"
 //! ```
 //!
-//! The interprocedural rules (I1–I3) additionally take `entries`, the
+//! The reachability rules (I1, I2) additionally take `entries`, the
 //! call-graph roots the reachability analysis starts from (patterns per
 //! [`crate::graph::Graph::match_entries`]); I4 takes `api_crate`, the
 //! crate whose contract-documented functions propagate the doc
@@ -34,7 +34,7 @@ use crate::rules;
 /// One enabled rule with its scope.
 #[derive(Debug, Clone)]
 pub struct RuleCfg {
-    /// Rule id, e.g. `D5`. Must be one of [`rules::KNOWN_IDS`].
+    /// Rule id, e.g. `D2`. Must be one of [`rules::KNOWN_IDS`].
     pub id: String,
     /// Crate keys (directory names under `crates/`, or `root`) the rule
     /// applies to.
@@ -44,7 +44,7 @@ pub struct RuleCfg {
     pub files: Vec<String>,
     /// Optional override of the built-in fix hint.
     pub hint: Option<String>,
-    /// Call-graph entry-point patterns (interprocedural rules I1–I3).
+    /// Call-graph entry-point patterns (reachability rules I1, I2).
     pub entries: Vec<String>,
     /// The ordering-contract API crate (rule I4; defaults to `sim`).
     pub api_crate: Option<String>,
@@ -160,7 +160,7 @@ fn parse_rule(sec: &Section) -> Result<RuleCfg, ParseError> {
         None => Vec::new(),
         Some((eline, eval)) => expect_str_list(eline, "entries", eval)?,
     };
-    if matches!(id.as_str(), "I1" | "I2" | "I3") && entries.is_empty() {
+    if matches!(id.as_str(), "I1" | "I2") && entries.is_empty() {
         return err(
             sec.header_line,
             format!("reachability rule `{id}` needs a non-empty `entries` list"),
@@ -219,7 +219,7 @@ mod tests {
         let cfg = Config::parse(
             r#"
 [[rule]]
-id = "D5"
+id = "D2"
 crates = ["sim", "switch"]
 
 [[rule]]
@@ -228,21 +228,21 @@ crates = ["sim"]
 hint = "no unsafe, ever"
 
 [[allow]]
-rule = "D5"
-path = "crates/switch/src/device.rs"
-contains = "no route for"
-justification = "documented # Panics contract, covered by a should_panic test"
+rule = "D2"
+path = "crates/fabric/src/world.rs"
+contains = "prof_start"
+justification = "feature-gated handler timing that never feeds simulated state"
 "#,
         )
         .unwrap();
         assert_eq!(cfg.rules.len(), 2);
-        assert_eq!(cfg.rule("D5").unwrap().crates, vec!["sim", "switch"]);
+        assert_eq!(cfg.rule("D2").unwrap().crates, vec!["sim", "switch"]);
         assert_eq!(
             cfg.rule("D6").unwrap().hint.as_deref(),
             Some("no unsafe, ever")
         );
         assert_eq!(cfg.allows.len(), 1);
-        assert_eq!(cfg.allows[0].contains.as_deref(), Some("no route for"));
+        assert_eq!(cfg.allows[0].contains.as_deref(), Some("prof_start"));
     }
 
     #[test]
@@ -252,13 +252,13 @@ justification = "documented # Panics contract, covered by a should_panic test"
         assert!(e.msg.contains("D99"), "{e}");
 
         let e = Config::parse(
-            "[[rule]]\nid = \"D5\"\ncrates = [\"sim\"]\n\n[[allow]]\nrule = \"D5\"\npath = \"x.rs\"\njustification = \"\"\n",
+            "[[rule]]\nid = \"D2\"\ncrates = [\"sim\"]\n\n[[allow]]\nrule = \"D2\"\npath = \"x.rs\"\njustification = \"\"\n",
         )
         .unwrap_err();
         assert_eq!(e.line, 8, "{e}");
         assert!(e.msg.contains("justification"), "{e}");
 
-        let e = Config::parse("[[allow]]\nrule = \"D5\"\npath = \"x.rs\"\njustification = \"y\"\n")
+        let e = Config::parse("[[allow]]\nrule = \"D2\"\npath = \"x.rs\"\njustification = \"y\"\n")
             .unwrap_err();
         assert!(e.msg.contains("not enabled"), "{e}");
 

@@ -127,21 +127,6 @@ pub struct Node {
     /// Panic sites in this body (`unwrap`/`expect`/`panic!`/`todo!`/
     /// `unimplemented!`), `debug_assert!` bodies excluded.
     pub panics: Vec<Site>,
-    /// Workspace statics this body references, as (static index, site).
-    pub static_refs: Vec<(usize, Site)>,
-}
-
-/// One workspace static the body scan can resolve references to.
-#[derive(Debug)]
-pub struct StaticNode {
-    /// Crate key of the defining file.
-    pub crate_key: String,
-    /// Item name.
-    pub name: String,
-    /// Declared type text.
-    pub ty: String,
-    /// True when the type mentions `Atomic*`.
-    pub is_atomic: bool,
 }
 
 /// The whole-workspace call graph.
@@ -150,8 +135,6 @@ pub struct Graph {
     /// Function nodes, ordered by (file, declaration order) — the
     /// deterministic traversal order every rule uses.
     pub nodes: Vec<Node>,
-    /// Statics visible to the body scan.
-    pub statics: Vec<StaticNode>,
 }
 
 /// Maps an extern-crate lib ident to the workspace crate key it names.
@@ -180,8 +163,6 @@ struct Indexes {
     methods: BTreeMap<String, Vec<usize>>,
     /// (self type, method name) -> node ids.
     ty_methods: BTreeMap<(String, String), Vec<usize>>,
-    /// (crate key, static name) -> static index.
-    statics: BTreeMap<(String, String), usize>,
 }
 
 impl Graph {
@@ -194,25 +175,9 @@ impl Graph {
             by_crate_name: BTreeMap::new(),
             methods: BTreeMap::new(),
             ty_methods: BTreeMap::new(),
-            statics: BTreeMap::new(),
         };
         // Pass 1: nodes and indexes.
         for (fi, file) in files.iter().enumerate() {
-            for s in &file.tree.statics {
-                if s.in_test || s.features.iter().any(|f| off_features.contains(f)) {
-                    continue;
-                }
-                let id = g.statics.len();
-                g.statics.push(StaticNode {
-                    crate_key: file.crate_key.clone(),
-                    name: s.name.clone(),
-                    ty: s.ty.clone(),
-                    is_atomic: s.is_atomic,
-                });
-                idx.statics
-                    .entry((file.crate_key.clone(), s.name.clone()))
-                    .or_insert(id);
-            }
             for d in &file.tree.fns {
                 if d.in_test || d.features.iter().any(|f| off_features.contains(f)) {
                     continue;
@@ -239,7 +204,6 @@ impl Graph {
                     calls: Vec::new(),
                     taints: Vec::new(),
                     panics: Vec::new(),
-                    static_refs: Vec::new(),
                 });
                 idx.by_crate_name
                     .entry((file.crate_key.clone(), d.name.clone()))
@@ -541,26 +505,6 @@ fn scan_body(
             k += 1;
             continue;
         }
-        // Static references: bare name, or resolved through a path that
-        // stayed in this crate. Skip the `NAME` in `NAME ::` position —
-        // that's a path prefix (type or module), not a static read.
-        if !prev_dot && !tok(k + 1).is_some_and(|n| n.is_punct(':')) {
-            let in_path = k >= 2
-                && tok(k - 1).is_some_and(|p| p.is_punct(':'))
-                && tok(k - 2).is_some_and(|p| p.is_punct(':'));
-            if !in_path {
-                if let Some(&sid) = idx.statics.get(&(crate_key.clone(), t.text.clone())) {
-                    g.nodes[id].static_refs.push((
-                        sid,
-                        Site {
-                            line: t.line,
-                            col: t.col,
-                            what: t.text.clone(),
-                        },
-                    ));
-                }
-            }
-        }
         k += 1;
     }
 }
@@ -653,37 +597,6 @@ fn resolve_call(
                 None => Vec::new(),
             }
         }
-    }
-}
-
-/// A static referenced on a shard path, with its resolved metadata —
-/// convenience for rule I3.
-#[derive(Debug)]
-pub struct StaticUse<'g> {
-    /// The referencing node.
-    pub node: usize,
-    /// The referenced static.
-    pub st: &'g StaticNode,
-    /// Where in the node's body.
-    pub site: Site,
-}
-
-impl Graph {
-    /// All static references made by `reachable` nodes, in node order.
-    pub fn static_uses<'g>(&'g self, parent: &[Option<usize>]) -> Vec<StaticUse<'g>> {
-        let mut out = Vec::new();
-        for (id, n) in self.nodes.iter().enumerate() {
-            if parent.get(id).is_some_and(Option::is_some) {
-                for (sid, site) in &n.static_refs {
-                    out.push(StaticUse {
-                        node: id,
-                        st: &self.statics[*sid],
-                        site: site.clone(),
-                    });
-                }
-            }
-        }
-        out
     }
 }
 
@@ -788,24 +701,20 @@ mod tests {
     }
 
     #[test]
-    fn statics_and_entry_patterns() {
+    fn entry_patterns() {
         let files = vec![file(
             "crates/a/src/lib.rs",
             "a",
-            "static EVENTS: AtomicU64 = AtomicU64::new(0);\nstatic TBL: [u8; 2] = [0, 0];\n\
-             pub struct W;\nimpl W { pub fn run_window(&self) { EVENTS.fetch_add(1, O); tick(); } }\n\
-             fn tick() { let _x = TBL[0]; }\npub fn fig4() {}\npub fn fig5() {}",
+            "pub struct W;\nimpl W { pub fn run(&self) { tick(); } }\n\
+             fn tick() {}\npub fn fig4() {}\npub fn fig5() {}",
         )];
         let g = build(&files);
-        assert_eq!(g.statics.len(), 2);
-        let entries = g.match_entries(&["W::run_window".to_string()]);
+        let entries = g.match_entries(&["W::run".to_string()]);
         assert_eq!(entries.len(), 1);
         let reach = g.reach(&entries);
-        let uses = g.static_uses(&reach);
-        let names: Vec<&str> = uses.iter().map(|u| u.st.name.as_str()).collect();
-        assert_eq!(names, ["EVENTS", "TBL"]);
-        assert!(uses[0].st.is_atomic && !uses[1].st.is_atomic);
+        let (tick, _) = node(&g, "a::tick");
+        assert!(reach[tick].is_some());
         assert_eq!(g.match_entries(&["a::fig*".to_string()]).len(), 2);
-        assert_eq!(g.match_entries(&["a::run_window".to_string()]).len(), 1);
+        assert_eq!(g.match_entries(&["a::run".to_string()]).len(), 1);
     }
 }

@@ -1,6 +1,7 @@
-//! The interprocedural rules I1–I4, run over the workspace call graph.
+//! The interprocedural rules I1, I2 and I4, run over the workspace call
+//! graph.
 //!
-//! Where D1–D10 pattern-match token sequences one file at a time, these
+//! Where D1–D9 pattern-match token sequences one file at a time, these
 //! rules reason about *reachability*: a `thread_rng()` three helper
 //! calls below a figure generator is exactly as nondeterministic as one
 //! written inline, and the token rules cannot see it. Each rule names
@@ -15,11 +16,10 @@
 //! |----|-----------|
 //! | I1 | no ambient-input source (RNG, wall clock, env, infinite socket wait) reachable from a result-producing entry |
 //! | I2 | no `panic!`/`unwrap`/`expect`/`todo!` reachable from a hot-loop entry |
-//! | I3 | no `static` reachable from shard-executed code (telemetry atomics via `[[allow]]`) |
 //! | I4 | a `pub fn` calling an ordering-contract-documented API fn must carry a contract doc itself |
 //!
 //! Conservatism and its consequences are catalogued in DESIGN.md §5.1;
-//! the short version: method-name call edges over-approximate (I2/I3
+//! the short version: method-name call edges over-approximate (I2
 //! may flag a panic in a same-named method the entry never calls — use
 //! a justified `[[allow]]`), and I4 follows only exactly-resolved
 //! edges, because name-level edges would demand ordering docs from
@@ -72,9 +72,7 @@ fn mk_diag(
 /// `files` must span the whole analysis scope (the workspace, or a
 /// fixture's files); diagnostics come back unsorted and unfiltered.
 pub fn run_inter(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
-    let needs_graph = ["I1", "I2", "I3", "I4"]
-        .iter()
-        .any(|id| cfg.rule(id).is_some());
+    let needs_graph = ["I1", "I2", "I4"].iter().any(|id| cfg.rule(id).is_some());
     if !needs_graph {
         return Vec::new();
     }
@@ -85,9 +83,6 @@ pub fn run_inter(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
     }
     if let Some(rule) = cfg.rule("I2") {
         i2_panic_reachability(files, &g, rule, &mut out);
-    }
-    if let Some(rule) = cfg.rule("I3") {
-        i3_shard_purity(files, &g, rule, &mut out);
     }
     if let Some(rule) = cfg.rule("I4") {
         i4_contract_propagation(files, &g, rule, &mut out);
@@ -166,43 +161,6 @@ fn i2_panic_reachability(
                 cfg,
             ));
         }
-    }
-}
-
-fn i3_shard_purity(files: &[SourceFile], g: &Graph, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
-    let entries = g.match_entries(&cfg.entries);
-    let parent = g.reach(&entries);
-    // One diagnostic per (static, referencing file): the first use site
-    // stands for all of them, so exempting a telemetry atomic takes one
-    // `[[allow]]` per file, not one per counter bump.
-    let mut seen = BTreeSet::new();
-    for u in g.static_uses(&parent) {
-        let n = &g.nodes[u.node];
-        if !node_in_scope(g, cfg, u.node) {
-            continue;
-        }
-        if !seen.insert((u.st.crate_key.clone(), u.st.name.clone(), n.file)) {
-            continue;
-        }
-        out.push(mk_diag(
-            files,
-            n.file,
-            u.site.line,
-            u.site.col,
-            "I3",
-            format!(
-                "{} `{}: {}` reachable from shard-executed code: {}",
-                if u.st.is_atomic {
-                    "shared atomic"
-                } else {
-                    "global state"
-                },
-                u.st.name,
-                u.st.ty,
-                g.chain(&parent, u.node)
-            ),
-            cfg,
-        ));
     }
 }
 
@@ -306,16 +264,6 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:#?}");
         assert!(diags[0].msg.contains("panic!"));
         assert!(diags[0].msg.contains("fixture::tail -> fixture::inner"));
-    }
-
-    #[test]
-    fn i3_flags_statics_once_per_file() {
-        let src = "static HITS: AtomicU64 = AtomicU64::new(0);\n\
-                   pub fn run_window() { HITS.fetch_add(1, R); tick(); }\n\
-                   fn tick() { HITS.fetch_add(1, R); }\npub fn cold() { HITS.load(R); }";
-        let diags = run(&[("fixture", src)], rule("I3", &["run_window"]));
-        assert_eq!(diags.len(), 1, "one per (static, file): {diags:#?}");
-        assert!(diags[0].msg.contains("shared atomic `HITS"));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! A hand-written recursive-descent item parser on top of [`crate::lexer`].
 //!
-//! The token-level rules (D1–D10) match short token sequences and never
-//! resolve names; the interprocedural rules (I1–I4, [`crate::inter`])
+//! The token-level rules (D1–D9) match short token sequences and never
+//! resolve names; the interprocedural rules (I1, I2, I4; [`crate::inter`])
 //! need more: which functions a file defines, which impl/trait each one
 //! belongs to, what it imports, which items are `#[cfg(test)]`- or
 //! feature-gated, and where each function's body starts and ends. This
-//! module extracts exactly that — an [`ItemTree`] of functions, statics
-//! and use-declarations with spans — without attempting to be a full
+//! module extracts exactly that — an [`ItemTree`] of functions and
+//! use-declarations with spans — without attempting to be a full
 //! Rust parser: expression bodies stay opaque token ranges (the call
 //! graph scans them separately), and anything the parser does not
 //! recognize is skipped token-by-token.
@@ -52,27 +52,6 @@ pub struct FnDecl {
     pub col: u32,
 }
 
-/// One `static` item.
-#[derive(Debug, Clone)]
-pub struct StaticDecl {
-    /// Item name.
-    pub name: String,
-    /// The declared type, as source text with single spaces between
-    /// tokens (e.g. `AtomicU64`, `[AtomicU64 ; KINDS]`).
-    pub ty: String,
-    /// True when the type mentions an `Atomic*` ident — the only class
-    /// of static the shard-purity rule can ever exempt.
-    pub is_atomic: bool,
-    /// True when test-gated (see [`FnDecl::in_test`]).
-    pub in_test: bool,
-    /// Feature gates (see [`FnDecl::features`]).
-    pub features: Vec<String>,
-    /// 1-based line of the `static` keyword.
-    pub line: u32,
-    /// 1-based column of the `static` keyword.
-    pub col: u32,
-}
-
 /// One leaf of a `use` declaration: `use a::b::{c, d as e}` yields two
 /// entries with aliases `c` and `e`.
 #[derive(Debug, Clone)]
@@ -88,8 +67,6 @@ pub struct UseDecl {
 pub struct ItemTree {
     /// Function items in source order.
     pub fns: Vec<FnDecl>,
-    /// Static items in source order.
-    pub statics: Vec<StaticDecl>,
     /// Flattened use-declaration leaves in source order.
     pub uses: Vec<UseDecl>,
 }
@@ -395,7 +372,10 @@ impl Parser<'_> {
                     self.skip_to_semi(end);
                 }
                 "static" => {
-                    self.static_item(&doc, &gates, ctx, &kw, end);
+                    // The call graph needs nothing from a static: skip its
+                    // type and initializer, nesting included.
+                    self.pos += 1;
+                    self.skip_to_semi(end);
                 }
                 "struct" | "enum" | "union" | "type" | "const" => {
                     // Skip to the item terminator: `;` or a brace block.
@@ -699,64 +679,6 @@ impl Parser<'_> {
         }
         prefix.truncate(depth0);
     }
-
-    /// Parses a `static` item starting at the keyword.
-    fn static_item(&mut self, _doc: &str, gates: &Gates, ctx: &Ctx, kw: &Token, end: usize) {
-        self.pos += 1;
-        if self.is_ident(self.pos, "mut") {
-            self.pos += 1;
-        }
-        let Some(name_tok) = self.tok(self.pos).filter(|t| t.kind == TokKind::Ident) else {
-            self.skip_to_semi(end);
-            return;
-        };
-        let name = name_tok.text.clone();
-        self.pos += 1;
-        let mut ty = String::new();
-        let mut is_atomic = false;
-        if self.is_punct(self.pos, ':') {
-            self.pos += 1;
-            let (mut par, mut brk) = (0isize, 0isize);
-            while self.pos < end {
-                let Some(t) = self.tok(self.pos) else { break };
-                if (t.is_punct('=') || t.is_punct(';')) && par <= 0 && brk <= 0 {
-                    break;
-                }
-                if t.is_punct('{') || t.is_punct('}') {
-                    break;
-                }
-                match t.text.as_str() {
-                    "(" => par += 1,
-                    ")" => par -= 1,
-                    "[" => brk += 1,
-                    "]" => brk -= 1,
-                    _ => {}
-                }
-                if t.kind == TokKind::Ident && t.text.starts_with("Atomic") {
-                    is_atomic = true;
-                }
-                if !ty.is_empty() {
-                    ty.push(' ');
-                }
-                ty.push_str(&t.text);
-                self.pos += 1;
-            }
-        }
-        self.skip_to_semi(end);
-        self.out.statics.push(StaticDecl {
-            name,
-            ty,
-            is_atomic,
-            in_test: ctx.in_test || gates.test,
-            features: {
-                let mut f = ctx.features.clone();
-                f.extend(gates.features.iter().cloned());
-                f
-            },
-            line: kw.line,
-            col: kw.col,
-        });
-    }
 }
 
 /// Computes a per-token mask of code gated off by `#[cfg(feature =
@@ -935,12 +857,13 @@ trait App {
     }
 
     #[test]
-    fn uses_and_statics() {
+    fn uses_parse_and_statics_are_skipped() {
         let t = tree(
-            "use rperf_sim::{rng::SimRng, EventQueue as Q, shard::*};\n\
+            "use rperf_sim::{rng::SimRng, EventQueue as Q, time::*};\n\
              use std::sync::atomic::AtomicU64;\n\
              static EVENTS: AtomicU64 = AtomicU64::new(0);\n\
-             static TABLE: [u8; 4] = [0; 4];",
+             static TABLE: [AtomicU64; 2] = [const { AtomicU64::new(0) }; 2];\n\
+             fn after() {}",
         );
         let aliases: Vec<(&str, String)> = t
             .uses
@@ -949,10 +872,10 @@ trait App {
             .collect();
         assert!(aliases.contains(&("SimRng", "rperf_sim::rng::SimRng".into())));
         assert!(aliases.contains(&("Q", "rperf_sim::EventQueue".into())));
-        assert!(aliases.contains(&("*", "rperf_sim::shard".into())));
-        assert_eq!(t.statics.len(), 2);
-        assert!(t.statics[0].is_atomic && t.statics[0].ty == "AtomicU64");
-        assert!(!t.statics[1].is_atomic);
+        assert!(aliases.contains(&("*", "rperf_sim::time".into())));
+        // Statics are skipped whole; the item after them still parses.
+        assert_eq!(t.fns.len(), 1);
+        assert_eq!(t.fns[0].name, "after");
     }
 
     #[test]

@@ -14,14 +14,12 @@
 //! | D2 | no `Instant`/`SystemTime`/`std::time` wall-clock reads |
 //! | D3 | no ambient RNG (`thread_rng`, `rand::`) — only `rperf_sim::rng` forks |
 //! | D4 | no `f64`/`f32` or raw `.0` arithmetic on quantity newtypes |
-//! | D5 | no `unwrap`/`expect`/`panic!`/`todo!` in hot-loop crates |
 //! | D6 | no `unsafe`, and every crate root carries `#![forbid(unsafe_code)]` |
 //! | D7 | every `pub fn` in the event-API crate documents its contract |
 //! | D8 | no environment reads (`env::var`) in result-producing paths |
 //! | D9 | blocking sockets in the serving layer carry finite timeouts |
-//! | D10 | cross-shard state travels only through the sim mailbox (no ad-hoc shared-mutable sync in shard-executed crates) |
 //!
-//! The interprocedural catalog (I1–I4) lives in [`crate::inter`] and
+//! The interprocedural catalog (I1, I2, I4) lives in [`crate::inter`] and
 //! runs over the whole-workspace call graph instead of single token
 //! streams; this module only registers the ids, hints, and `--explain`
 //! text.
@@ -32,7 +30,7 @@ use crate::parse::{self, ItemTree};
 
 /// Every rule id the engine implements.
 pub const KNOWN_IDS: &[&str] = &[
-    "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10", "I1", "I2", "I3", "I4",
+    "D1", "D2", "D3", "D4", "D6", "D7", "D8", "D9", "I1", "I2", "I4",
 ];
 
 /// The built-in fix hint for `id`.
@@ -42,15 +40,12 @@ pub fn default_hint(id: &str) -> &'static str {
         "D2" => "wall-clock reads break bit-identical replay; simulated time comes from rperf_sim::SimTime",
         "D3" => "ambient RNG ignores the experiment seed; fork a stream from rperf_sim::rng::SimRng",
         "D4" => "float rounding is platform/optimization sensitive; keep quantities in rperf_model::units newtypes and integer picoseconds/bytes (floats belong in rperf-stats)",
-        "D5" => "a panic in the hot loop aborts the whole sweep; return a typed error or guard the invariant with `let .. else { debug_assert!(false, ..); .. }`",
         "D6" => "the workspace is 100% safe Rust; add #![forbid(unsafe_code)] to the crate root and rewrite the unsafe block",
         "D7" => "event-API callers rely on documented (time, seq) FIFO ordering; add a doc comment stating the ordering contract",
         "D8" => "environment variables make results depend on the shell; thread configuration through explicit arguments",
         "D9" => "a blocking socket read with no timeout lets one stalled peer wedge the thread forever; call set_read_timeout(Some(..))/set_write_timeout(Some(..)) right after accept/connect",
-        "D10" => "shard worker domains may exchange state only through rperf_sim::shard::Mailbox envelopes, which the window scheduler merges in (time, seq) order; ad-hoc shared-mutable sync is a side channel the deterministic merge never sees",
         "I1" => "the call chain in the message shows how a result path reaches ambient input; thread the value through explicit arguments, or break the edge (the diagnostic points at the source, not the entry)",
         "I2" => "a panic anywhere in the reachable set aborts the whole sweep; return a typed error along the chain, or demote the check to debug_assert! (pruned from release reachability)",
-        "I3" => "shard workers must not touch process-global state; move it into the shard's WorldState, or — for monotonic telemetry counters only — add an [[allow]] naming the atomic with a justification",
         "I4" => "callers inherit the (time, seq) ordering obligation of the API they call; copy the contract sentence into this fn's doc comment so the obligation stays visible at every layer",
         _ => "see DESIGN.md §5",
     }
@@ -64,15 +59,12 @@ pub fn explain(id: &str) -> Option<&'static str> {
         "D2" => "D2 — no wall-clock reads.\n\nInstant/SystemTime/std::time make output depend on host speed and\ntime-of-day. Simulated time comes from rperf_sim::SimTime only. The\ntoken rule flags the type names; rule I1 additionally proves no figure\npath can *reach* a clock read through helpers.",
         "D3" => "D3 — no ambient RNG.\n\nthread_rng()/rand:: ignore the experiment seed, so reruns diverge.\nRandomness must be forked from rperf_sim::rng::SimRng, which is seeded\nby the scenario. I1 extends this check across call boundaries.",
         "D4" => "D4 — integer quantities.\n\nFloat rounding is platform- and optimization-sensitive; time and bytes\nstay in integer-picosecond/byte newtypes (rperf_model::units). Floats\nbelong in rperf-stats, after the deterministic part is done.",
-        "D5" => "D5 — no panics in hot-loop crates (token-level).\n\nFlags .unwrap()/.expect()/panic!/todo!/unimplemented! anywhere in the\nscoped crates. Superseded for reachability precision by I2, which\nflags only panic sites the hot loop can actually reach.",
         "D6" => "D6 — no unsafe.\n\nThe workspace is 100% safe Rust; every crate root must carry\n#![forbid(unsafe_code)] so the compiler enforces it too.",
         "D7" => "D7 — documented event-API contracts.\n\nEvery pub fn in the event-API crate documents its ordering contract.\nI4 propagates the obligation to callers in other crates.",
         "D8" => "D8 — no environment reads.\n\nenv::var makes results depend on the invoking shell. Configuration is\nthreaded through explicit arguments. I1 extends the check to\nreachability from result-producing entries.",
         "D9" => "D9 — finite socket timeouts.\n\nA blocking read with no timeout lets one stalled peer wedge a serve\nworker forever. set_read_timeout(Some(..)) right after accept/connect;\nset_read_timeout(None) is flagged at the call site.",
-        "D10" => "D10 — no shard side channels.\n\nCross-shard state travels only through rperf_sim::shard::Mailbox\nenvelopes, merged in (time, seq) order at window boundaries. Mutex/\nRwLock/RefCell/Cell/mpsc in shard-executed crates are side channels\nthe deterministic merge never sees. I3 adds reachability: statics\ntouched by code the shard windows can call.",
         "I1" => "I1 — taint reachability (interprocedural).\n\nSources: thread_rng()/rand::, Instant/SystemTime, env::var*/vars, and\nset_read_timeout(None)/set_write_timeout(None). The analyzer builds a\nconservative workspace call graph (see DESIGN.md §5.1), BFS-reaches\nfrom the configured `entries` (figure generators, executors, sweep\nrunners), and flags every source inside the reachable set — however\nmany helper crates deep. The message carries the shortest call chain\nthe graph knows from an entry to the offending function. Fix by\nthreading the value through arguments; exempt with a justified\n[[allow]] pinned to the site.",
-        "I2" => "I2 — panic reachability (interprocedural).\n\nFlags panic!/todo!/unimplemented! and .unwrap()/.expect() in any\nfunction reachable from the hot-loop entries (`entries` in lint.toml:\nWorldState::handle_one, run/run_budgeted, shard window bodies).\nPruning: #[cfg(test)] items are not graph nodes, debug_assert! bodies\nare skipped (they vanish in release builds), and code gated by an\n`off_features` feature is invisible. Unlike D5's per-crate blanket,\nan unreachable panic in the same crate is fine. Method-name call edges\nover-approximate: a panic in a same-named method of an unrelated type\ncan be flagged — silence that with a justified [[allow]].",
-        "I3" => "I3 — shard purity (interprocedural).\n\nShard worker windows replay deterministically only if shard-executed\ncode touches no process-global state. The analyzer reaches from the\nshard window entries and flags every `static` referenced by reachable\ncode, one diagnostic per (static, file). The only sanctioned\nexception is monotonic telemetry (Atomic* counters folded after the\nrun) — exempt those via [[allow]] entries naming the counter, so each\nexemption carries a justification.",
+        "I2" => "I2 — panic reachability (interprocedural).\n\nFlags panic!/todo!/unimplemented! and .unwrap()/.expect() in any\nfunction reachable from the hot-loop entries (`entries` in lint.toml:\nWorldState::handle_one, run/run_budgeted).\nPruning: #[cfg(test)] items are not graph nodes, debug_assert! bodies\nare skipped (they vanish in release builds), and code gated by an\n`off_features` feature is invisible. An unreachable panic in a\nhot-loop crate is fine. Method-name call edges\nover-approximate: a panic in a same-named method of an unrelated type\ncan be flagged — silence that with a justified [[allow]].",
         "I4" => "I4 — ordering-contract propagation (interprocedural).\n\nA pub fn that (exactly) calls a contract-documented function of the\nevent-API crate (`api_crate`, default `sim`) must itself carry a doc\ncomment stating the ordering contract (any of: 'order', 'FIFO',\n'(time, seq)', 'deterministic', case-insensitive). This closes D7's\none-crate scope: the obligation follows the call graph outward.\nName-level method edges are deliberately excluded — they would demand\nordering docs from every Vec::push caller.",
         _ => return None,
     };
@@ -88,7 +80,7 @@ pub struct Diagnostic {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Rule id, e.g. `D5`.
+    /// Rule id, e.g. `I2`.
     pub rule: &'static str,
     /// What is wrong.
     pub msg: String,
@@ -102,9 +94,9 @@ impl Diagnostic {
     /// Renders the three-line human form:
     ///
     /// ```text
-    /// crates/sim/src/run.rs:90:33: [D5] hot-loop crate `sim` calls `.expect()`
+    /// crates/sim/src/run.rs:90:33: [I2] `.expect()` reachable from a hot-loop entry: ...
     ///     | let (now, ev) = q.pop().expect("peeked event vanished");
-    ///     = help: return a typed error ...
+    ///     = help: return a typed error along the chain ...
     /// ```
     pub fn render(&self) -> String {
         format!(
@@ -306,12 +298,10 @@ pub fn run_rules(file: &SourceFile, config: &Config) -> Vec<Diagnostic> {
             "D2" => d2_wall_clock(file, rule, &mut out),
             "D3" => d3_ambient_rng(file, rule, &mut out),
             "D4" => d4_float_quantities(file, rule, &mut out),
-            "D5" => d5_panics(file, rule, &mut out),
             "D6" => d6_unsafe(file, rule, &mut out),
             "D7" => d7_doc_contracts(file, rule, &mut out),
             "D8" => d8_env_reads(file, rule, &mut out),
             "D9" => d9_socket_timeouts(file, rule, &mut out),
-            "D10" => d10_shard_side_channels(file, rule, &mut out),
             _ => {}
         }
     }
@@ -455,40 +445,6 @@ fn d4_float_quantities(file: &SourceFile, cfg: &RuleCfg, out: &mut Vec<Diagnosti
                     cfg,
                 ));
             }
-        }
-    }
-}
-
-fn d5_panics(file: &SourceFile, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
-    for s in 0..file.sig.len() {
-        if file.test_at(s) {
-            continue;
-        }
-        let t = &file.tokens[file.sig[s]];
-        let method_call = |name: &str| {
-            t.is_ident(name)
-                && s >= 1
-                && file.at(s - 1).is_some_and(|p| p.is_punct('.'))
-                && file.at(s + 1).is_some_and(|n| n.is_punct('('))
-        };
-        if method_call("unwrap") || method_call("expect") {
-            out.push(file.diag(
-                "D5",
-                t,
-                format!("hot-loop crate `{}` calls `.{}()`", file.crate_key, t.text),
-                cfg,
-            ));
-            continue;
-        }
-        let bang_macro = (t.is_ident("panic") || t.is_ident("todo") || t.is_ident("unimplemented"))
-            && file.at(s + 1).is_some_and(|n| n.is_punct('!'));
-        if bang_macro {
-            out.push(file.diag(
-                "D5",
-                t,
-                format!("hot-loop crate `{}` invokes `{}!`", file.crate_key, t.text),
-                cfg,
-            ));
         }
     }
 }
@@ -703,39 +659,6 @@ fn d9_socket_timeouts(file: &SourceFile, cfg: &RuleCfg, out: &mut Vec<Diagnostic
     }
 }
 
-/// D10: code that runs inside shard worker domains (the fabric crate)
-/// must exchange cross-shard state only through the
-/// `rperf_sim::shard::Mailbox` envelopes that the window scheduler
-/// merges in `(time, seq)` order at window boundaries. Any ad-hoc
-/// shared-mutable synchronization — `Mutex`/`RwLock` guards, `mpsc`
-/// channels, `RefCell`/`Cell` interior mutability — is a side channel
-/// the deterministic merge never sees, so whatever flows through it
-/// depends on thread scheduling. Atomics are deliberately not flagged:
-/// the fabric's global counters (`events_processed_total`, slab
-/// high-water) are monotonic telemetry folded after the run, not
-/// simulation state.
-fn d10_shard_side_channels(file: &SourceFile, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
-    const SIDE_CHANNELS: [&str; 5] = ["Mutex", "RwLock", "RefCell", "Cell", "mpsc"];
-    for s in 0..file.sig.len() {
-        if file.test_at(s) {
-            continue;
-        }
-        let t = &file.tokens[file.sig[s]];
-        if let Some(name) = SIDE_CHANNELS.iter().copied().find(|&n| t.is_ident(n)) {
-            out.push(file.diag(
-                "D10",
-                t,
-                format!(
-                    "shared-mutable sync primitive `{name}` in shard-executed crate `{}`; \
-                     cross-shard state must travel through the mailbox",
-                    file.crate_key
-                ),
-                cfg,
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,33 +689,18 @@ mod tests {
     #[test]
     fn test_regions_are_exempt() {
         let src = r#"
-fn hot(v: Option<u32>) -> u32 { v.map_or(0, |x| x) }
+fn hot(v: &[u32]) -> u32 { v.len() as u32 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn checks() { Some(3).unwrap(); }
+    fn checks() { let _m: std::collections::HashSet<u32> = Default::default(); }
 }
 "#;
-        assert!(run(src, &["D5"]).is_empty());
+        assert!(run(src, &["D1"]).is_empty());
         // But cfg(not(test)) is NOT a test region.
-        let src = "#[cfg(not(test))]\nfn hot(v: Option<u32>) -> u32 { v.unwrap() }\n";
-        assert_eq!(run(src, &["D5"]).len(), 1);
-    }
-
-    #[test]
-    fn d5_matches_only_real_calls() {
-        let diags = run(
-            "fn f(v: Option<u32>) { v.expect(\"boom\"); let unwrap = 3; g(unwrap); panic!(\"x\"); }",
-            &["D5"],
-        );
-        assert_eq!(diags.len(), 2, "{diags:#?}");
-        assert!(diags[0].msg.contains(".expect()"));
-        assert!(diags[1].msg.contains("panic!"));
-        // Strings and comments never fire.
-        assert!(run("// .unwrap() \nfn f() { g(\".unwrap()\"); }", &["D5"]).is_empty());
-        // unwrap_or_else is fine.
-        assert!(run("fn f(v: Option<u32>) { v.unwrap_or_else(|| 3); }", &["D5"]).is_empty());
+        let src = "#[cfg(not(test))]\nfn hot(m: &HashSet<u32>) -> usize { m.len() }\n";
+        assert_eq!(run(src, &["D1"]).len(), 1);
     }
 
     #[test]
@@ -887,37 +795,6 @@ fn private_needs_no_doc() {}
         assert!(run(
             "#[cfg(test)]\nmod tests { fn f(s: &TcpStream) { s.read(&mut b).ok(); } }",
             &["D9"],
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn d10_flags_side_channels_not_mailbox_or_atomics() {
-        let diags = run(
-            "use std::sync::Mutex;\nfn f() { let (tx, rx) = mpsc::channel(); }",
-            &["D10"],
-        );
-        assert_eq!(diags.len(), 2, "{diags:#?}");
-        assert!(diags[0].msg.contains("`Mutex`"));
-        assert!(diags[1].msg.contains("`mpsc`"));
-        // RefCell and Cell are interior-mutability side channels too.
-        assert_eq!(
-            run("fn f(c: &RefCell<u64>, d: &Cell<u8>) {}", &["D10"]).len(),
-            2
-        );
-        // The mailbox API and telemetry atomics are the sanctioned paths.
-        assert!(run(
-            "use rperf_sim::shard::Mailbox;\n\
-             static EVENTS: AtomicU64 = AtomicU64::new(0);\n\
-             fn f(m: &Mailbox<Envelope>) { m.post(0, e); }",
-            &["D10"],
-        )
-        .is_empty());
-        // Strings, comments, and test regions never fire.
-        assert!(run("// Mutex\nfn f() { g(\"Mutex\"); }", &["D10"]).is_empty());
-        assert!(run(
-            "#[cfg(test)]\nmod tests { use std::sync::Mutex; }",
-            &["D10"],
         )
         .is_empty());
     }

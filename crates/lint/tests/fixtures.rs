@@ -12,8 +12,8 @@ use std::path::{Path, PathBuf};
 
 use rperf_lint::{lint_source, lint_workspace, Config};
 
-const RULE_IDS: [&str; 14] = [
-    "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10", "I1", "I2", "I3", "I4",
+const RULE_IDS: [&str; 11] = [
+    "D1", "D2", "D3", "D4", "D6", "D7", "D8", "D9", "I1", "I2", "I4",
 ];
 
 fn fixture_dir() -> PathBuf {
@@ -28,7 +28,6 @@ fn rule_config(id: &str) -> Config {
     let extra = match id {
         "I1" => "entries = [\"fig_latency\"]\n",
         "I2" => "entries = [\"WorldState::handle_one\"]\n",
-        "I3" => "entries = [\"run_window\"]\n",
         "I4" => "api_crate = \"fixtures\"\n",
         _ => "",
     };
@@ -129,8 +128,8 @@ fn workspace_report_is_jobs_invariant() {
 #[test]
 fn stale_allow_entries_are_reported() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let toml = "[[rule]]\nid = \"D5\"\ncrates = [\"lint\"]\n\n\
-                [[allow]]\nrule = \"D5\"\npath = \"crates/lint/src/never_exists.rs\"\n\
+    let toml = "[[rule]]\nid = \"D2\"\ncrates = [\"lint\"]\n\n\
+                [[allow]]\nrule = \"D2\"\npath = \"crates/lint/src/never_exists.rs\"\n\
                 justification = \"deliberately stale fixture entry\"\n";
     let cfg = Config::parse(toml).expect("stale-allow config parses");
     let report = lint_workspace(&root, &cfg, 1).expect("walk workspace");

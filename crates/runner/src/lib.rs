@@ -129,47 +129,6 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// How a thread budget divides between sweep workers and the worker
-/// domains (shards) each job runs internally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Plan {
-    /// Concurrent sweep jobs (outer [`Sweep`] workers).
-    pub workers: usize,
-    /// Shard threads inside each job (inner worker domains).
-    pub shards_per_job: usize,
-}
-
-impl Plan {
-    /// Total threads a sweep under this plan keeps busy.
-    pub fn threads(&self) -> usize {
-        self.workers * self.shards_per_job
-    }
-}
-
-/// Divides a thread budget between sweep workers and per-job shards.
-///
-/// When each sweep job is itself a sharded simulation running
-/// `shards_per_job` worker threads (DESIGN.md §3.7), fanning out
-/// `threads` jobs as well would oversubscribe the machine
-/// `shards_per_job`-fold — and a sharded simulation degrades
-/// disproportionately under oversubscription, because every
-/// conservative-window barrier its shards reach turns into context
-/// switches. So the budget is divided, and the *sweep* dimension keeps
-/// what it can use: independent jobs speed up near-linearly, while
-/// shards pay barrier overhead per window. The shard dimension is only
-/// worth threads the sweep cannot fill on its own (few jobs, many
-/// cores).
-///
-/// `workers = max(1, threads / shards_per_job)`; both inputs are
-/// clamped to at least 1.
-pub fn plan_parallelism(threads: usize, shards_per_job: usize) -> Plan {
-    let shards_per_job = shards_per_job.max(1);
-    Plan {
-        workers: (threads.max(1) / shards_per_job).max(1),
-        shards_per_job,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,27 +174,6 @@ mod tests {
         assert_eq!(Sweep::new(0).workers(), 1);
         assert!(Sweep::available().workers() >= 1);
         assert_eq!(Sweep::default(), Sweep::available());
-    }
-
-    #[test]
-    fn plan_divides_threads_between_workers_and_shards() {
-        // Unsharded jobs: the whole budget goes to sweep workers.
-        assert_eq!(plan_parallelism(8, 1).workers, 8);
-        // Sharded jobs split the budget without oversubscribing.
-        let p = plan_parallelism(8, 4);
-        assert_eq!((p.workers, p.shards_per_job), (2, 4));
-        assert_eq!(p.threads(), 8);
-        // The budget never rounds up past the requested thread count…
-        assert!(plan_parallelism(6, 4).threads() <= 6 || plan_parallelism(6, 4).workers == 1);
-        // …and both dimensions are clamped to at least 1.
-        assert_eq!(plan_parallelism(1, 16).workers, 1);
-        assert_eq!(
-            plan_parallelism(0, 0),
-            Plan {
-                workers: 1,
-                shards_per_job: 1
-            }
-        );
     }
 
     #[test]

@@ -276,56 +276,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` at absolute time `at` under a caller-supplied
-    /// ordering key instead of the internal sequence counter.
-    ///
-    /// Ordering contract: the queue pops in non-decreasing `(at, key)`
-    /// order, so keyed events at the same instant pop in ascending key
-    /// order regardless of insertion order — the property the sharded
-    /// engine relies on to make pop order independent of how events were
-    /// partitioned across shards (DESIGN.md §3, sharded execution). Keys
-    /// must be unique per timestamp; a queue must be driven either
-    /// entirely through this method or entirely through the
-    /// sequence-numbered [`EventQueue::schedule`] family, never a mix
-    /// (the internal counter and caller keys share one ordering domain).
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if `at` is earlier than [`EventQueue::now`].
-    #[inline]
-    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "event scheduled in the past: {at:?} < now {:?}",
-            self.now
-        );
-        self.len += 1;
-        let entry = Entry {
-            at,
-            seq: key,
-            event,
-        };
-        let tick = tick_of(at);
-        if tick <= self.cur_tick {
-            // Unlike `schedule`, a keyed entry's key is NOT globally
-            // maximal, so a same-timestamp append can violate the ready
-            // lane's `(at, seq)` sort; such entries (and anything earlier)
-            // take the overflow heap, which tolerates any order.
-            match self.ready.back() {
-                Some(back) if (entry.at, entry.seq) < (back.at, back.seq) => self.early.push(entry),
-                _ => self.ready.push_back(entry),
-            }
-        } else if self.ready.is_empty() && self.early.is_empty() {
-            // Same sparse-queue cursor jump as `schedule`.
-            debug_assert_eq!(self.len, 1);
-            debug_assert_eq!(self.level_mask, 0);
-            self.cur_tick = tick;
-            self.ready.push_back(entry);
-        } else {
-            self.place_in_wheel(entry, tick);
-        }
-    }
-
     /// Schedules every `(at, event)` pair yielded by `events`.
     ///
     /// Pop-order equivalent to calling [`EventQueue::schedule`] once per
@@ -735,48 +685,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "a");
         assert_eq!(q.pop().unwrap().1, "b");
         assert_eq!(q.pop().unwrap().1, "c");
-    }
-
-    #[test]
-    fn keyed_schedule_pops_in_key_order_regardless_of_insertion() {
-        // Two insertion orders of the same (at, key) set must pop
-        // identically — the shard-count-invariance property.
-        let evs = [
-            (SimTime::from_ns(5), 7u64, "c"),
-            (SimTime::from_ns(5), 3, "b"),
-            (SimTime::from_ns(2), 9, "a"),
-            (SimTime::from_ns(9), 1, "d"),
-        ];
-        let mut orders: Vec<Vec<&str>> = Vec::new();
-        for perm in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
-            let mut q = EventQueue::new();
-            for &i in &perm {
-                let (at, key, ev) = evs[i];
-                q.schedule_keyed(at, key, ev);
-            }
-            orders.push(std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect());
-        }
-        assert_eq!(orders[0], vec!["a", "b", "c", "d"]);
-        assert_eq!(orders[0], orders[1]);
-        assert_eq!(orders[0], orders[2]);
-    }
-
-    #[test]
-    fn keyed_schedule_interleaves_with_pop_and_far_future() {
-        let mut q = EventQueue::new();
-        q.schedule_keyed(SimTime::from_ns(10), 5, "a");
-        q.schedule_keyed(SimTime::from_us(10), 1, "e");
-        assert_eq!(q.pop().unwrap().1, "a");
-        // Same-timestamp keyed inserts arriving out of key order must
-        // still pop in key order (they route through the overflow heap).
-        q.schedule_keyed(SimTime::from_ns(500), 8, "c");
-        q.schedule_keyed(SimTime::from_ns(500), 2, "b");
-        q.schedule_keyed(SimTime::from_ns(700), 3, "d");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert_eq!(q.pop().unwrap().1, "d");
-        assert_eq!(q.pop().unwrap().1, "e");
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -36,11 +36,9 @@ mod event;
 pub mod reference;
 mod rng;
 mod run;
-pub mod shard;
 mod time;
 
 pub use event::EventQueue;
 pub use rng::SimRng;
 pub use run::{run, run_budgeted, RunOutcome, StopCondition, World};
-pub use shard::{run_sharded, Lookahead, Mailbox, ShardRunStats, ShardedWorld, SpinBarrier};
 pub use time::{SimDuration, SimTime};
