@@ -573,7 +573,7 @@ pub fn fig_clos(effort: &Effort) -> Figure {
 /// of a `k = 8`, `o = 2` leaf–spine — 128 hosts, 16 twelve-port leaves,
 /// 4 sixteen-port spines — while 0/4/8 bulk flows converge on the
 /// victim's destination from remote leaves. Exercises the largest
-/// routed fabric in the suite end to end and feeds its events/sec into
+/// routed fabric in the suite end to end and feeds its wall time into
 /// BENCH_report.json.
 pub fn fattree128(effort: &Effort) -> Figure {
     let mut fig = Figure::new(

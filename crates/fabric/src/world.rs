@@ -459,16 +459,9 @@ impl WorldState {
                 apply_rnic_actions(fabric, q, node, now, &mut self.rnic_out);
             }
             FabricEvent::RnicWake(node) => {
-                let idx = node as usize;
-                // Busy-wire re-arm fast path: when the wake would only
-                // reschedule itself (the dominant event in bandwidth-bound
-                // runs), skip the action buffer entirely.
-                if let Some(at) = fabric.rnics[idx].wake_rearm_only(now) {
-                    q.schedule(at, FabricEvent::RnicWake(node));
-                } else {
-                    fabric.rnics[idx].wake(now, &fabric.slab, &mut self.rnic_out);
-                    apply_rnic_actions(fabric, q, idx, now, &mut self.rnic_out);
-                }
+                let node = node as usize;
+                fabric.rnics[node].wake(now, &fabric.slab, &mut self.rnic_out);
+                apply_rnic_actions(fabric, q, node, now, &mut self.rnic_out);
             }
             FabricEvent::SwitchCredit {
                 switch,
@@ -555,8 +548,8 @@ impl std::fmt::Debug for Sim {
 ///
 /// Parallel sweeps (`rperf-runner`) run many `Sim`s concurrently; the
 /// relaxed atomic adds commute, so the total is deterministic even though
-/// the interleaving is not. The bench report divides this by wall-clock
-/// to track simulator throughput (events/sec) per figure.
+/// the interleaving is not. The bench report records it per figure, next
+/// to the wall-clock time it gates on, as a diagnostic of simulator work.
 static EVENTS_PROCESSED: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide high-water mark of live packets in any [`Sim`]'s slab.

@@ -148,6 +148,15 @@ pub struct Rnic {
     engine_free: SimTime,
     /// Wire (SerDes) busy horizon.
     wire_free: SimTime,
+    /// The instant of the armed wire wake: equal to `wire_free` while a
+    /// `Wake { at: wire_free }` is outstanding, so [`Rnic::dispatch`]
+    /// never arms a second one for the same horizon. One armed wake per
+    /// RNIC keeps a backlog of K queued packets at one wake chain, not K.
+    wire_wake: SimTime,
+    /// Wakes delivered so far; with one armed wire wake per RNIC they
+    /// never outnumber the wakes armed by injection timers and transmits.
+    #[cfg(feature = "sim-sanitizer")]
+    wakes_seen: u64,
     /// RX engine busy horizon.
     rx_free: SimTime,
     /// Monotone data-packet readiness horizon: a later WQE's packets may
@@ -202,6 +211,9 @@ impl Rnic {
             next_pkt: 0,
             engine_free: SimTime::ZERO,
             wire_free: SimTime::ZERO,
+            wire_wake: SimTime::ZERO,
+            #[cfg(feature = "sim-sanitizer")]
+            wakes_seen: 0,
             rx_free: SimTime::ZERO,
             tx_ready_horizon: SimTime::ZERO,
             rx_deliver_horizon: SimTime::ZERO,
@@ -582,27 +594,22 @@ impl Rnic {
     /// A self-scheduled wake-up: moves ready packets to the injection
     /// queues and dispatches the wire, appending actions to `out`.
     pub fn wake(&mut self, now: SimTime, slab: &PacketSlab, out: &mut Vec<RnicAction>) {
+        // Every wake is armed by an injection timer (`pending_seq` counts
+        // them) or by a transmit; a busy-wire re-arm beyond those is a
+        // duplicate, and duplicates grow into a wake storm.
+        #[cfg(feature = "sim-sanitizer")]
+        {
+            self.wakes_seen += 1;
+            debug_assert!(
+                self.wakes_seen <= self.pending_seq + self.stats.tx_packets,
+                "sim-sanitizer: {} wakes for {} injection timers and {} transmits",
+                self.wakes_seen,
+                self.pending_seq,
+                self.stats.tx_packets
+            );
+        }
         self.drain_pending(now);
         self.dispatch(now, slab, out);
-    }
-
-    /// Probes for the overwhelmingly common wake outcome in
-    /// bandwidth-bound runs (sim-prof attributes ~98% of all dispatched
-    /// events to it): the wire is still busy, no injection timer has
-    /// matured, and packets are queued — a full [`Rnic::wake`] would do
-    /// nothing but re-arm itself at `wire_free`. Returns that re-arm
-    /// time so the caller can schedule it directly and skip the action
-    /// buffer round-trip; `None` means take the full path.
-    #[inline]
-    pub fn wake_rearm_only(&self, now: SimTime) -> Option<SimTime> {
-        if self.wire_free > now
-            && !self.txq.is_empty()
-            && self.pending_tx.peek().is_none_or(|t| t.at > now)
-        {
-            Some(self.wire_free)
-        } else {
-            None
-        }
     }
 
     fn drain_pending(&mut self, now: SimTime) {
@@ -625,7 +632,15 @@ impl Rnic {
 
     fn dispatch(&mut self, now: SimTime, slab: &PacketSlab, out: &mut Vec<RnicAction>) {
         if self.wire_free > now {
-            if !self.txq.is_empty() {
+            // The transmit that made the wire busy armed its wake.
+            #[cfg(feature = "sim-sanitizer")]
+            debug_assert!(
+                self.txq.is_empty() || self.wire_wake == self.wire_free,
+                "sim-sanitizer: busy wire with queued packets but no wake armed at {}",
+                self.wire_free
+            );
+            if !self.txq.is_empty() && self.wire_wake != self.wire_free {
+                self.wire_wake = self.wire_free;
                 out.push(RnicAction::Wake { at: self.wire_free });
             }
             return;
@@ -664,6 +679,7 @@ impl Rnic {
         }
 
         out.push(RnicAction::Transmit { packet, serialize });
+        self.wire_wake = self.wire_free;
         out.push(RnicAction::Wake { at: self.wire_free });
     }
 
@@ -1315,6 +1331,50 @@ mod tests {
         p.run();
         assert_eq!(p.transmitted.len(), 2);
         assert!(p.slab.is_empty(), "both packets consumed off the slab");
+    }
+
+    #[test]
+    fn busy_wire_backlog_arms_one_wire_wake() {
+        const K: usize = 8;
+        let mut p = Pump::new(1);
+        p.rnic.set_peer_credits(CreditLedger::new(9, 1 << 20));
+        let qp = p.rnic.create_qp(Transport::Rc);
+        let wrs = (0..K as u64).map(|i| send_wr(i, 4096, 2)).collect();
+        let mut posted = Vec::new();
+        p.rnic
+            .post_send_batch(SimTime::ZERO, qp, wrs, &mut p.slab, &mut posted)
+            .unwrap();
+        let timer_wakes = posted
+            .iter()
+            .filter(|a| matches!(a, RnicAction::Wake { .. }))
+            .count();
+        assert_eq!(timer_wakes, K, "one injection timer per packet");
+        // Deliver the K timer wakes late, when every timer has matured:
+        // the first moves all K packets to the injection queue and puts
+        // one on the wire; the rest, each after a credit return, find the
+        // wire busy with the backlog queued.
+        let t0 = SimTime::from_us(100);
+        let mut actions = Vec::new();
+        p.rnic.wake(t0, &p.slab, &mut actions);
+        let wire_free = p.rnic.wire_free;
+        assert!(wire_free > t0);
+        assert_eq!(p.rnic.txq.len(), K - 1, "the backlog waits for the wire");
+        for i in 1..K as u64 {
+            let now = t0 + SimDuration::from_ps(i);
+            p.rnic
+                .credit_from_peer(now, VirtualLane::new(0), 116, &p.slab, &mut actions);
+            p.rnic.wake(now, &p.slab, &mut actions);
+        }
+        let wire_wakes = actions
+            .iter()
+            .filter(|a| matches!(a, RnicAction::Wake { at } if *at == wire_free))
+            .count();
+        assert_eq!(wire_wakes, 1, "one armed wire wake per RNIC");
+        // That single wake chain still drains the whole backlog.
+        p.absorb(t0, actions);
+        p.run();
+        assert_eq!(p.transmitted.len(), K);
+        assert!(p.slab.is_empty());
     }
 
     #[test]
