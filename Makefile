@@ -48,13 +48,11 @@ quick-report:
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs $(shell nproc)
 
 # CI smoke: report on the reduced (--quick) point set, single job for
-# determinism, then the two dispatch-layer microbench races (per-event
-# vs batched link delivery; AoS vs SoA buffer scans at 8/36/64 ports).
-# Fails if any packet handle leaks; BENCH_report.json is uploaded as a
-# workflow artifact.
+# determinism, then the switch-layer microbench race (AoS vs SoA buffer
+# scans at 8/36/64 ports). Fails if any packet handle leaks;
+# BENCH_report.json is uploaded as a workflow artifact.
 bench-smoke:
 	$(CARGO) run --release -p rperf-bench --bin report -- --quick --jobs 1
-	$(CARGO) bench -p rperf-fabric --bench link_delivery
 	$(CARGO) bench -p rperf-switch --bench soa_scan
 
 # Re-blesses the perf baseline: discards BENCH_baseline.json and

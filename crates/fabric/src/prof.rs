@@ -34,7 +34,7 @@ static COUNTS: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
 static NANOS: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
 
 /// Maps an event to its counter slot (hot kinds first, matching the
-/// dispatch arm order in `WorldState::handle_one`).
+/// dispatch arm order in `WorldState::handle`).
 #[inline]
 pub(crate) fn kind_of(event: &FabricEvent) -> usize {
     match event {

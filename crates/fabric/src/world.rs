@@ -6,9 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rperf_host::{Tsc, TscClock};
 use rperf_model::{ClusterConfig, Lid, PacketRef, PortId, QpNum, Transport, VirtualLane};
 use rperf_rnic::RnicAction;
-use rperf_sim::{
-    run, run_budgeted, EventQueue, RunOutcome, SimDuration, SimTime, StopCondition, World,
-};
+use rperf_sim::{run_budgeted, EventQueue, RunOutcome, SimDuration, SimTime, World};
 use rperf_switch::SwitchAction;
 use rperf_verbs::{Cqe, RecvWr, SendWr, VerbsError};
 
@@ -349,35 +347,12 @@ struct WorldState {
     /// routers every event so the hot loop never allocates.
     rnic_out: Vec<RnicAction>,
     switch_out: Vec<SwitchAction>,
-    /// When set, [`World::handle`] drains every queued event that shares
-    /// the current timestamp in the same call (batched link delivery).
-    /// Off for budgeted runs, whose event accounting counts loop-level
-    /// pops.
-    batch: bool,
 }
 
 impl World for WorldState {
     type Event = FabricEvent;
 
     fn handle(&mut self, now: SimTime, event: FabricEvent, q: &mut EventQueue<FabricEvent>) {
-        self.handle_one(now, event, q);
-        if self.batch {
-            // Batched link delivery: every event at this exact timestamp
-            // (including zero-delay events scheduled while draining) is
-            // dispatched here, skipping the run loop's per-event stop
-            // check and virtual dispatch. Pop order is identical to the
-            // unbatched loop — (time, seq) FIFO — so results are
-            // bit-identical.
-            while let Some(next) = q.pop_if_at(now) {
-                self.handle_one(now, next, q);
-            }
-        }
-    }
-}
-
-impl WorldState {
-    #[inline]
-    fn handle_one(&mut self, now: SimTime, event: FabricEvent, q: &mut EventQueue<FabricEvent>) {
         #[cfg(feature = "sim-prof")]
         let prof_kind = crate::prof::kind_of(&event);
         #[cfg(feature = "sim-prof")]
@@ -500,7 +475,9 @@ impl WorldState {
         #[cfg(feature = "sim-prof")]
         crate::prof::record(prof_kind, prof_start.elapsed().as_nanos() as u64);
     }
+}
 
+impl WorldState {
     fn with_app<F>(&mut self, node: usize, now: SimTime, q: &mut EventQueue<FabricEvent>, f: F)
     where
         F: FnOnce(&mut dyn App, &mut Ctx<'_>),
@@ -596,11 +573,11 @@ impl Sim {
                 tracer: None,
                 rnic_out: Vec::with_capacity(64),
                 switch_out: Vec::with_capacity(64),
-                batch: true,
             },
-            // Pre-size the heap: converged-traffic runs keep on the order
-            // of a few hundred events in flight per node, and one up-front
-            // allocation keeps regrowth out of the pop/push hot loop.
+            // Pre-size the wheel's ready lane: converged-traffic runs keep
+            // on the order of a few hundred events in flight per node, and
+            // one up-front allocation keeps regrowth out of the pop/push
+            // hot loop.
             q: EventQueue::with_capacity((nodes * 256).max(1024)),
             started: false,
         }
@@ -642,14 +619,7 @@ impl Sim {
     /// Packets still in the slab afterwards are *not* counted as leaks:
     /// stopping at a horizon legitimately strands in-flight traffic.
     pub fn run_until(&mut self, t: SimTime) {
-        let before = self.q.popped();
-        self.world.batch = true;
-        run(&mut self.world, &mut self.q, StopCondition::At(t));
-        EVENTS_PROCESSED.fetch_add(self.q.popped() - before, Ordering::Relaxed);
-        SLAB_HIGH_WATER.fetch_max(
-            self.world.fabric.slab.high_water() as u64,
-            Ordering::Relaxed,
-        );
+        self.run_until_budgeted(t, u64::MAX, u64::MAX, &mut || false);
     }
 
     /// Runs toward the horizon (exclusive) under an event budget and a
@@ -658,9 +628,9 @@ impl Sim {
     /// Events are dispatched in deterministic (time, seq) order across
     /// pause/resume boundaries, so an uninterrupted call is bit-identical
     /// to [`Sim::run_until`]; an interrupted one leaves the simulation
-    /// resumable. The global
-    /// events/slab accounting is updated either way, so throughput
-    /// attribution stays correct for cancelled work too.
+    /// resumable. Every `run_*` method runs through here, so the global
+    /// events/slab accounting lives in one place and covers cancelled
+    /// work too.
     pub fn run_until_budgeted(
         &mut self,
         t: SimTime,
@@ -669,9 +639,6 @@ impl Sim {
         cancelled: &mut dyn FnMut() -> bool,
     ) -> RunOutcome {
         let before = self.q.popped();
-        // Budgeted runs count events at the run loop: batching would let
-        // `handle` pop past `max_events` between checks, so it is off.
-        self.world.batch = false;
         let out = run_budgeted(
             &mut self.world,
             &mut self.q,
@@ -693,14 +660,10 @@ impl Sim {
     /// At quiescence no packet can still be in flight, so any handle left
     /// in the slab is a leak; it is added to [`packets_leaked_total`].
     pub fn run_to_quiescence(&mut self) {
-        let before = self.q.popped();
-        self.world.batch = true;
-        run(&mut self.world, &mut self.q, StopCondition::QueueEmpty);
-        EVENTS_PROCESSED.fetch_add(self.q.popped() - before, Ordering::Relaxed);
-        SLAB_HIGH_WATER.fetch_max(
-            self.world.fabric.slab.high_water() as u64,
-            Ordering::Relaxed,
-        );
+        // Devices schedule at `now + delay`, and no simulation runs
+        // anywhere near `SimTime::MAX` (~213 days), so this horizon is
+        // never reached: the run ends by draining the queue.
+        self.run_until(SimTime::MAX);
         let live = self.world.fabric.slab.live();
         if live > 0 {
             PACKETS_LEAKED.fetch_add(live as u64, Ordering::Relaxed);

@@ -30,8 +30,8 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// Slot index mask.
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 
-/// Number of levels: 54 tick bits (64 − `TICK_BITS`) / 6 bits per level,
-/// rounded up. Level `L` spans `2^(10 + 6·(L+1))` ps, so the hierarchy covers
+/// Number of levels: 52 tick bits (64 − `TICK_BITS`) / 6 bits per level,
+/// rounded up. Level `L` spans `2^(12 + 6·(L+1))` ps, so the hierarchy covers
 /// the entire `u64` picosecond range.
 const LEVELS: usize = 9;
 
@@ -64,7 +64,7 @@ const fn above_mask(slot: u32) -> u64 {
 /// # Implementation
 ///
 /// Internally this is a hierarchical timer wheel (calendar queue) rather
-/// than a binary heap: time is quantised into 1024 ps ticks, the next ~64
+/// than a binary heap: time is quantised into 4096 ps ticks, the next ~64
 /// ticks live in level-0 buckets, and exponentially coarser levels hold the
 /// far future, cascading down as the wheel rotates. Events landing behind
 /// the wheel cursor (it advances to the next *occupied* bucket, which can
@@ -80,9 +80,9 @@ const fn above_mask(slot: u32) -> u64 {
 /// use rperf_sim::{EventQueue, SimDuration, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// q.schedule_in(SimDuration::from_ns(10), "late");
-/// q.schedule_in(SimDuration::from_ns(1), "early");
-/// q.schedule_in(SimDuration::from_ns(1), "early-second");
+/// q.schedule(SimTime::ZERO + SimDuration::from_ns(10), "late");
+/// q.schedule(SimTime::ZERO + SimDuration::from_ns(1), "early");
+/// q.schedule(SimTime::ZERO + SimDuration::from_ns(1), "early-second");
 ///
 /// assert_eq!(q.pop().unwrap().1, "early");
 /// assert_eq!(q.pop().unwrap().1, "early-second");
@@ -195,17 +195,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Reserves space for at least `additional` more events in the ready
-    /// lane.
-    pub fn reserve(&mut self, additional: usize) {
-        self.ready.reserve(additional);
-    }
-
-    /// Number of near-future events the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.ready.capacity()
-    }
-
     /// The timestamp of the most recently popped event (`t = 0` initially).
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -250,7 +239,7 @@ impl<E> EventQueue<E> {
         if tick <= self.cur_tick {
             // The wheel has already rotated past this tick (every event
             // still in the wheel is strictly later), so the entry stays in
-            // front of it. Common case — `schedule_now` and same-bucket
+            // front of it. Common case — same-instant and same-bucket
             // follow-ups arriving in time order — appends to the sorted
             // lane (the fresh entry's sequence number is globally maximal,
             // so `at >= back.at` keeps the lane sorted with correct FIFO
@@ -274,62 +263,6 @@ impl<E> EventQueue<E> {
         } else {
             self.place_in_wheel(entry, tick);
         }
-    }
-
-    /// Schedules every `(at, event)` pair yielded by `events`.
-    ///
-    /// Pop-order equivalent to calling [`EventQueue::schedule`] once per
-    /// pair in iteration order: the (time, seq) FIFO ordering contract is
-    /// identical, with sequence numbers assigned in iteration order. The
-    /// batch form skips the per-call empty-lane check and performs the
-    /// cursor advance at most once after the whole batch, instead of paying
-    /// redundant cursor work on each call.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if any `at` is earlier than
-    /// [`EventQueue::now`].
-    pub fn schedule_batch<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        for (at, event) in events {
-            debug_assert!(
-                at >= self.now,
-                "event scheduled in the past: {at:?} < now {:?}",
-                self.now
-            );
-            let seq = self.seq;
-            self.seq += 1;
-            self.len += 1;
-            let entry = Entry { at, seq, event };
-            let tick = tick_of(at);
-            if tick <= self.cur_tick {
-                match self.ready.back() {
-                    Some(back) if entry.at < back.at => self.early.push(entry),
-                    _ => self.ready.push_back(entry),
-                }
-            } else {
-                self.place_in_wheel(entry, tick);
-            }
-        }
-        if self.ready.is_empty() && self.early.is_empty() && self.len > 0 {
-            // Restore the invariant "ready or early non-empty whenever
-            // len > 0" once for the whole batch.
-            self.advance();
-        }
-    }
-
-    /// Schedules `event` `delay` after the current time.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: crate::SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Schedules `event` at the current time (processed after all events
-    /// already queued for this instant).
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule(self.now, event);
     }
 
     /// Removes and returns the earliest event, advancing [`EventQueue::now`].
@@ -364,21 +297,6 @@ impl<E> EventQueue<E> {
         Some((entry.at, entry.event))
     }
 
-    /// Removes and returns the earliest event only if its timestamp is
-    /// exactly `at`; otherwise leaves the queue untouched.
-    ///
-    /// When it pops, the event is exactly the one [`EventQueue::pop`] would
-    /// have returned — same (time, seq) FIFO ordering contract — so a
-    /// `while let Some(e) = q.pop_if_at(now)` drain loop observes the same
-    /// event stream as guarding `pop` with [`EventQueue::peek_time`].
-    #[inline]
-    pub fn pop_if_at(&mut self, at: SimTime) -> Option<E> {
-        if self.peek_time()? != at {
-            return None;
-        }
-        self.pop().map(|(_, e)| e)
-    }
-
     /// The timestamp of the next event without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
@@ -388,20 +306,6 @@ impl<E> EventQueue<E> {
             (None, Some(e)) => Some(e.at),
             (None, None) => None,
         }
-    }
-
-    /// Discards all pending events without changing the current time.
-    pub fn clear(&mut self) {
-        self.ready.clear();
-        self.early.clear();
-        for level in &mut self.levels {
-            level.occupied = 0;
-            for slot in &mut level.slots {
-                slot.clear();
-            }
-        }
-        self.level_mask = 0;
-        self.len = 0;
     }
 
     /// Hashes an entry with `tick > cur_tick` into the wheel. The level is
@@ -470,9 +374,9 @@ impl<E> EventQueue<E> {
                 let mut bucket = std::mem::take(&mut self.levels[level].slots[s as usize]);
                 // Jump the cursor to the earliest tick actually present in
                 // the bucket, not just its base: everything the wheel still
-                // holds is at or after it, and in cohort-heavy workloads
-                // (many events at one instant — the busy-wire wake pattern)
-                // the entire bucket shares a single tick, so it lands in
+                // holds is at or after it, and when the bucket is a
+                // same-tick cohort (events scheduled together for one
+                // future instant: a fan-out, or a timer batch) it lands in
                 // `ready` in one pass instead of re-hashing into level 0
                 // and cascading a second time.
                 let base = ((cur_at_level & !SLOT_MASK) | s) << shift;
@@ -514,18 +418,9 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-impl<E> Extend<(SimTime, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        for (at, ev) in iter {
-            self.schedule(at, ev);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -558,68 +453,12 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(5), "a");
-        q.pop();
-        q.schedule_in(SimDuration::from_ns(3), "b");
-        assert_eq!(q.pop(), Some((SimTime::from_ns(8), "b")));
-    }
-
-    #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_in_the_past_panics_in_debug() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ns(10), ());
         q.pop();
         q.schedule(SimTime::from_ns(5), ());
-    }
-
-    #[test]
-    fn extend_and_counters() {
-        let mut q = EventQueue::new();
-        q.extend((0..5).map(|i| (SimTime::from_ns(i), i)));
-        assert_eq!(q.len(), 5);
-        while q.pop().is_some() {}
-        assert_eq!(q.popped(), 5);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn with_capacity_presizes_ready_lane() {
-        let mut q: EventQueue<u64> = EventQueue::with_capacity(128);
-        assert!(q.capacity() >= 128);
-        q.reserve(512);
-        assert!(q.capacity() >= 512);
-    }
-
-    #[test]
-    fn clear_keeps_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(1), ());
-        q.pop();
-        q.schedule(SimTime::from_ns(9), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_ns(1));
-    }
-
-    #[test]
-    fn clear_then_reschedule_pops_in_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_us(100), 0u32);
-        q.pop();
-        q.schedule(SimTime::from_us(500), 1);
-        q.clear();
-        // The wheel cursor may sit ahead of `now` after clear(); scheduling
-        // near `now` must still pop in time order.
-        q.schedule(SimTime::from_us(300), 2);
-        q.schedule(SimTime::from_us(200), 3);
-        q.schedule(SimTime::from_us(200), 4);
-        assert_eq!(q.pop(), Some((SimTime::from_us(200), 3)));
-        assert_eq!(q.pop(), Some((SimTime::from_us(200), 4)));
-        assert_eq!(q.pop(), Some((SimTime::from_us(300), 2)));
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -647,60 +486,6 @@ mod tests {
             popped.push(e);
         }
         assert_eq!(popped, vec![0, 1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn schedule_batch_matches_sequential_schedule() {
-        let times: Vec<u64> = vec![30, 10, 20, 10, 900_000, 10, 0, 77, 77];
-        let mut seq_q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            seq_q.schedule(SimTime::from_ns(t), i);
-        }
-        let mut batch_q = EventQueue::new();
-        batch_q.schedule_batch(
-            times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (SimTime::from_ns(t), i)),
-        );
-        loop {
-            let (a, b) = (seq_q.pop(), batch_q.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn schedule_batch_into_empty_queue_advances_once() {
-        let mut q = EventQueue::new();
-        q.schedule_batch([
-            (SimTime::from_us(5), "b"),
-            (SimTime::from_us(1), "a"),
-            (SimTime::from_us(5), "c"),
-        ]);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(SimTime::from_us(1)));
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-    }
-
-    #[test]
-    fn pop_if_at_only_pops_matching_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(5), "a");
-        q.schedule(SimTime::from_ns(5), "b");
-        q.schedule(SimTime::from_ns(9), "c");
-        assert_eq!(q.pop_if_at(SimTime::from_ns(4)), None);
-        assert_eq!(q.pop().unwrap().1, "a");
-        // Same-timestamp follow-up drains FIFO; later event is left queued.
-        assert_eq!(q.pop_if_at(SimTime::from_ns(5)), Some("b"));
-        assert_eq!(q.pop_if_at(SimTime::from_ns(5)), None);
-        assert_eq!(q.pop_if_at(SimTime::from_ns(9)), Some("c"));
-        assert_eq!(q.pop_if_at(SimTime::from_ns(9)), None);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   need. Reproducibility is a core requirement for a measurement tool, so
 //!   the suite does not depend on external RNG crates whose streams may
 //!   change between versions.
-//! * [`World`] / [`run`] — a minimal driver loop with stop conditions.
+//! * [`World`] / [`run_budgeted`] — the driver loop: an exclusive time
+//!   horizon, an event budget and a cooperative cancellation hook.
 //!
 //! # Examples
 //!
@@ -40,5 +41,5 @@ mod time;
 
 pub use event::EventQueue;
 pub use rng::SimRng;
-pub use run::{run, run_budgeted, RunOutcome, StopCondition, World};
+pub use run::{run_budgeted, RunOutcome, World};
 pub use time::{SimDuration, SimTime};

@@ -134,12 +134,6 @@ impl<E> HeapEventQueue<E> {
         self.heap.push(Entry { at, seq, event });
     }
 
-    /// Schedules `event` `delay` after the current time.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: crate::SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Removes and returns the earliest event, advancing
     /// [`HeapEventQueue::now`].
     #[inline]

@@ -4,25 +4,15 @@ use crate::{EventQueue, SimTime};
 
 /// A simulated system: everything that reacts to events.
 ///
-/// The driver ([`run`]) pops events in time order and hands each one to
-/// [`World::handle`], which may schedule further events on the queue.
+/// The driver ([`run_budgeted`]) pops events in time order and hands each
+/// one to [`World::handle`], which may schedule further events on the
+/// queue.
 pub trait World {
     /// The event type flowing through the system.
     type Event;
 
     /// Reacts to one event at time `now`, scheduling follow-ups on `q`.
     fn handle(&mut self, now: SimTime, event: Self::Event, q: &mut EventQueue<Self::Event>);
-}
-
-/// When the driver loop should stop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopCondition {
-    /// Stop when the queue drains.
-    QueueEmpty,
-    /// Stop before processing any event later than this instant.
-    At(SimTime),
-    /// Stop after this many events (a runaway-simulation backstop).
-    EventBudget(u64),
 }
 
 /// Why the driver loop stopped.
@@ -34,81 +24,18 @@ pub enum RunOutcome {
     HorizonReached,
     /// The event budget was exhausted.
     BudgetExhausted,
-    /// The cancellation hook asked the loop to stop ([`run_budgeted`]).
+    /// The cancellation hook asked the loop to stop.
     Cancelled,
 }
 
-/// Runs `world` until `stop` triggers.
+/// Runs `world` toward the `horizon` under a hard event budget and a
+/// cooperative cancellation hook. This is the simulator's only driver loop.
 ///
-/// Returns why the loop stopped. Events scheduled exactly at an `At(t)`
-/// horizon are *not* processed (the horizon is exclusive), so a run to
-/// `t` followed by a run to `t'` > `t` is identical to a single run to `t'`.
-///
-/// # Examples
-///
-/// ```
-/// use rperf_sim::{run, EventQueue, RunOutcome, SimTime, StopCondition, World};
-///
-/// struct Counter(u64);
-/// impl World for Counter {
-///     type Event = ();
-///     fn handle(&mut self, now: SimTime, _: (), q: &mut EventQueue<()>) {
-///         self.0 += 1;
-///         if self.0 < 10 {
-///             q.schedule(now + rperf_sim::SimDuration::from_ns(1), ());
-///         }
-///     }
-/// }
-///
-/// let mut world = Counter(0);
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::ZERO, ());
-/// let outcome = run(&mut world, &mut q, StopCondition::QueueEmpty);
-/// assert_eq!(outcome, RunOutcome::QueueDrained);
-/// assert_eq!(world.0, 10);
-/// ```
-pub fn run<W: World>(
-    world: &mut W,
-    q: &mut EventQueue<W::Event>,
-    stop: StopCondition,
-) -> RunOutcome {
-    // The stop condition is invariant across the run; branching on it once
-    // here keeps the per-event path down to pop + handle (+ one comparison
-    // for the horizon/budget variants) instead of re-testing two Options
-    // on every iteration of the hottest loop in the workspace.
-    match stop {
-        StopCondition::QueueEmpty => loop {
-            match q.pop() {
-                Some((now, ev)) => world.handle(now, ev, q),
-                None => return RunOutcome::QueueDrained,
-            }
-        },
-        StopCondition::At(horizon) => loop {
-            match q.peek_time() {
-                Some(t) if t >= horizon => return RunOutcome::HorizonReached,
-                None => return RunOutcome::QueueDrained,
-                _ => {}
-            }
-            // peek_time just returned Some, so pop always yields here.
-            if let Some((now, ev)) = q.pop() {
-                world.handle(now, ev, q);
-            }
-        },
-        StopCondition::EventBudget(mut budget) => loop {
-            if budget == 0 {
-                return RunOutcome::BudgetExhausted;
-            }
-            budget -= 1;
-            match q.pop() {
-                Some((now, ev)) => world.handle(now, ev, q),
-                None => return RunOutcome::QueueDrained,
-            }
-        },
-    }
-}
-
-/// Runs `world` toward the `horizon` (exclusive, like [`StopCondition::At`])
-/// under a hard event budget and a cooperative cancellation hook.
+/// The horizon is exclusive: events scheduled exactly at `horizon` are
+/// *not* processed, so a run to `t` followed by a run to `t'` > `t` is
+/// identical to a single run to `t'`. With `horizon = SimTime::MAX` the run
+/// goes on until the queue drains ([`RunOutcome::QueueDrained`]), leaving
+/// only events at `SimTime::MAX` itself unprocessed.
 ///
 /// The loop processes events in chunks of `check_every` (clamped to at
 /// least 1) and calls `cancelled` between chunks; a `true` return stops the
@@ -119,9 +46,10 @@ pub fn run<W: World>(
 /// closure. `max_events` bounds the total events processed across the call
 /// ([`RunOutcome::BudgetExhausted`] when it runs out).
 ///
-/// Chunking does not affect simulation results: events pop in exactly the
-/// same order as [`run`] with `StopCondition::At(horizon)`, so an
-/// uninterrupted budgeted run is bit-identical to an unbudgeted one.
+/// Chunking does not affect simulation results: events pop in `(time, seq)`
+/// order whatever `check_every` is, so an uninterrupted budgeted run is
+/// bit-identical to an unbudgeted one (`max_events = check_every =
+/// u64::MAX`).
 ///
 /// # Examples
 ///
@@ -217,15 +145,25 @@ mod tests {
         (w, q)
     }
 
+    /// One unchunked, unbudgeted call: the configuration `Sim::run_until`
+    /// drives.
+    fn run_plain<W: World>(
+        w: &mut W,
+        q: &mut EventQueue<W::Event>,
+        horizon: SimTime,
+    ) -> RunOutcome {
+        run_budgeted(w, q, horizon, u64::MAX, u64::MAX, &mut || false)
+    }
+
     #[test]
     fn horizon_is_exclusive_and_resumable() {
         let (mut w, mut q) = ticker();
-        let out = run(&mut w, &mut q, StopCondition::At(SimTime::from_ns(35)));
+        let out = run_plain(&mut w, &mut q, SimTime::from_ns(35));
         assert_eq!(out, RunOutcome::HorizonReached);
         assert_eq!(w.ticks.len(), 4); // t = 0, 10, 20, 30
 
         // Resuming to a later horizon continues seamlessly.
-        let out = run(&mut w, &mut q, StopCondition::At(SimTime::from_ns(55)));
+        let out = run_plain(&mut w, &mut q, SimTime::from_ns(55));
         assert_eq!(out, RunOutcome::HorizonReached);
         assert_eq!(w.ticks.len(), 6); // + t = 40, 50
     }
@@ -233,14 +171,14 @@ mod tests {
     #[test]
     fn event_at_horizon_not_processed() {
         let (mut w, mut q) = ticker();
-        run(&mut w, &mut q, StopCondition::At(SimTime::from_ns(30)));
+        run_plain(&mut w, &mut q, SimTime::from_ns(30));
         assert_eq!(w.ticks.last(), Some(&SimTime::from_ns(20)));
     }
 
     #[test]
     fn budget_stops_runaway() {
         let (mut w, mut q) = ticker();
-        let out = run(&mut w, &mut q, StopCondition::EventBudget(100));
+        let out = run_budgeted(&mut w, &mut q, SimTime::MAX, 100, u64::MAX, &mut || false);
         assert_eq!(out, RunOutcome::BudgetExhausted);
         assert_eq!(w.ticks.len(), 100);
     }
@@ -250,7 +188,7 @@ mod tests {
         let (mut a, mut qa) = ticker();
         let (mut b, mut qb) = ticker();
         let horizon = SimTime::from_ns(95);
-        let plain = run(&mut a, &mut qa, StopCondition::At(horizon));
+        let plain = run_plain(&mut a, &mut qa, horizon);
         let budgeted = run_budgeted(&mut b, &mut qb, horizon, u64::MAX, 3, &mut || false);
         assert_eq!(plain, budgeted);
         assert_eq!(a.ticks, b.ticks);
@@ -303,8 +241,16 @@ mod tests {
         );
         assert_eq!(out, RunOutcome::HorizonReached);
         assert_eq!(w.ticks.last(), Some(&SimTime::from_ns(20)));
-        // Resuming via the plain runner continues seamlessly.
-        run(&mut w, &mut q, StopCondition::At(SimTime::from_ns(55)));
+        // Resuming with a different chunk size continues seamlessly.
+        let out = run_budgeted(
+            &mut w,
+            &mut q,
+            SimTime::from_ns(55),
+            u64::MAX,
+            2,
+            &mut || false,
+        );
+        assert_eq!(out, RunOutcome::HorizonReached);
         assert_eq!(w.ticks.len(), 6); // t = 0..=50 step 10
     }
 
@@ -317,7 +263,7 @@ mod tests {
         }
         let mut q = EventQueue::<()>::new();
         assert_eq!(
-            run(&mut Noop, &mut q, StopCondition::QueueEmpty),
+            run_plain(&mut Noop, &mut q, SimTime::MAX),
             RunOutcome::QueueDrained
         );
     }

@@ -47,38 +47,21 @@ fn run_differential(ops: &[(bool, u64)]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Replays an op sequence that also exercises the batch-schedule and
-/// conditional-pop paths. Each op is `(kind, delay, burst)`:
+/// Replays an op sequence heavy on same-timestamp bursts. Each op is
+/// `(kind, delay, burst)`:
 ///
-/// - `kind % 3 == 0` — conditional pop: assert [`EventQueue::pop_if_at`] is
-///   a no-op for a mismatched timestamp, then pop via the matching one and
-///   compare against the oracle's unconditional pop.
+/// - `kind % 3 == 0` — pop, compared against the oracle's pop.
 /// - `kind % 3 == 1` — single `schedule`, as in [`run_differential`].
 /// - `kind % 3 == 2` — adversarial same-timestamp burst: `burst % 17 + 1`
-///   events at one instant through `schedule_batch`, mirrored on the oracle
-///   as individual schedules. FIFO within the burst must survive.
-fn run_differential_batched(ops: &[(u8, u64, u64)]) -> Result<(), TestCaseError> {
+///   back-to-back `schedule` calls at one instant on both queues. FIFO
+///   within the burst must survive.
+fn run_differential_bursts(ops: &[(u8, u64, u64)]) -> Result<(), TestCaseError> {
     let mut wheel: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
     let mut next_id = 0u64;
     for &(kind, delay, burst) in ops {
         match kind % 3 {
-            0 => {
-                if let Some(t) = heap.peek_time() {
-                    let wrong = SimTime::from_ps(t.as_ps().wrapping_add(1));
-                    prop_assert_eq!(
-                        wheel.pop_if_at(wrong),
-                        None,
-                        "pop_if_at popped on a mismatched time"
-                    );
-                    let w = wheel.pop_if_at(t);
-                    let h = heap.pop().map(|(_, e)| e);
-                    prop_assert_eq!(w, h, "pop_if_at mismatch");
-                } else {
-                    prop_assert_eq!(wheel.pop_if_at(SimTime::from_ps(delay)), None);
-                    prop_assert_eq!(wheel.pop(), heap.pop(), "empty pop mismatch");
-                }
-            }
+            0 => prop_assert_eq!(wheel.pop(), heap.pop(), "pop mismatch"),
             1 => {
                 let at = SimTime::from_ps(wheel.now().as_ps().saturating_add(delay));
                 wheel.schedule(at, next_id);
@@ -87,13 +70,11 @@ fn run_differential_batched(ops: &[(u8, u64, u64)]) -> Result<(), TestCaseError>
             }
             _ => {
                 let at = SimTime::from_ps(wheel.now().as_ps().saturating_add(delay));
-                let n = burst % 17 + 1;
-                let base = next_id;
-                wheel.schedule_batch((0..n).map(|j| (at, base + j)));
-                for j in 0..n {
-                    heap.schedule(at, base + j);
+                for _ in 0..burst % 17 + 1 {
+                    wheel.schedule(at, next_id);
+                    heap.schedule(at, next_id);
+                    next_id += 1;
                 }
-                next_id += n;
             }
         }
         prop_assert_eq!(wheel.now(), heap.now(), "now mismatch");
@@ -147,28 +128,29 @@ proptest! {
         run_differential(&shaped)?;
     }
 
-    /// Batch-schedule and conditional-pop paths, near horizon: heavy on
-    /// same-timestamp bursts landing in the ready lane and overflow heap.
+    /// Same-timestamp bursts, near horizon: they land in the ready lane
+    /// and the overflow heap.
     #[test]
     fn wheel_matches_heap_batched_near(ops in prop::collection::vec(
         (0u8..6, 0u64..5_000, 0u64..40), 1..300))
     {
-        run_differential_batched(&ops)?;
+        run_differential_bursts(&ops)?;
     }
 
-    /// Batch-schedule and conditional-pop paths, far horizon: bursts hash
-    /// into deep wheel levels and cascade back down on rotation.
+    /// Same-timestamp bursts, far horizon: they hash into deep wheel
+    /// levels and cascade back down on rotation as one-tick cohorts.
     #[test]
     fn wheel_matches_heap_batched_far(ops in prop::collection::vec(
         (0u8..6, 0u64..18_000_000_000, 0u64..40), 1..150))
     {
-        run_differential_batched(&ops)?;
+        run_differential_bursts(&ops)?;
     }
 
     /// Empty-window skips: every round drains the queue to empty, then the
-    /// next round jumps far into the future. The schedule-into-empty
-    /// cursor-jump fast path and the depth-adaptive cascade fire on every
-    /// round, and both sides must agree after each skip.
+    /// next round schedules a burst far into the future. The first event of
+    /// each burst takes the schedule-into-empty cursor jump, the rest of the
+    /// burst follows it at the cursor's tick, and both sides must agree
+    /// after each skip.
     #[test]
     fn wheel_matches_heap_empty_window_skips(rounds in prop::collection::vec(
         (1u64..8, 1_000u64..1_000_000_000_000), 1..40))
@@ -178,11 +160,11 @@ proptest! {
         let mut next_id = 0u64;
         for &(burst, jump) in &rounds {
             let at = SimTime::from_ps(wheel.now().as_ps().saturating_add(jump));
-            wheel.schedule_batch((0..burst).map(|j| (at, next_id + j)));
-            for j in 0..burst {
-                heap.schedule(at, next_id + j);
+            for _ in 0..burst {
+                wheel.schedule(at, next_id);
+                heap.schedule(at, next_id);
+                next_id += 1;
             }
-            next_id += burst;
             for _ in 0..burst {
                 prop_assert_eq!(wheel.pop(), heap.pop(), "skip-round pop mismatch");
             }
